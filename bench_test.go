@@ -447,6 +447,47 @@ func BenchmarkTuneNetworkWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkTuneNetworkHit times the library's cache-hit path: ResNet-18
+// with every kind, replayed against the cache its own cold sweep filled.
+// The answer is the lookup pass alone — no Space, no transfer pool, no
+// goroutine — so the benchmark fails on any fresh measurement or on a
+// verdict that differs from the cold sweep's.
+func BenchmarkTuneNetworkHit(b *testing.B) {
+	arch := memsim.V100
+	layers := models.ResNet18().NetworkLayers()
+	tune := autotune.DefaultOptions()
+	tune.Budget = 16
+	tune.Patience = 0
+	tune.Seed = 1
+	var measured int
+	tune.OnMeasure = func() { measured++ }
+	opts := autotune.NetworkOptions{Tune: tune, Workers: 1, Kinds: autotune.Kinds, Warm: true}
+	cache := autotune.NewCache()
+	cold, err := autotune.TuneNetwork(arch, layers, cache, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	measured = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		verdicts, err := autotune.TuneNetwork(arch, layers, cache, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			for j := range verdicts {
+				if verdicts[j].Kind != cold[j].Kind || verdicts[j].Config != cold[j].Config || verdicts[j].M != cold[j].M {
+					b.Fatalf("layer %s: hit verdict diverges from the cold sweep", layers[j].Name)
+				}
+			}
+		}
+	}
+	if measured != 0 {
+		b.Fatalf("cache-hit replays made %d measurements", measured)
+	}
+}
+
 // BenchmarkAnalyticVerdict times the instant-verdict tier on the full
 // ResNet-18 inventory: "scan" pays the once-per-space enumeration a cold
 // daemon pays on its first degraded answer; "serve" is the steady-state

@@ -35,13 +35,13 @@ type row struct {
 
 // defaultBench selects the hot-path benchmarks: the dry-measurement unit of
 // work, the wet kernels, the conv-shaped GEMM, the network-level sweeps
-// (cold, and warm-started via the cross-layer transfer pool), the
-// resumed-search path, the allocation-free cache key, and the search-engine
-// overhead pair (the bound-guided loop vs its pre-rework baseline, and the
+// (cold, warm-started via the cross-layer transfer pool, and the all-hit
+// lookup pass), the resumed-search path, the allocation-free cache key,
+// and the search-engine overhead pair (the bound-guided loop vs its pre-rework baseline, and the
 // incremental vs from-scratch cost-model refit), and the measurement-free
 // analytic verdict the daemon degrades to (scan = cold per-space enumeration,
 // serve = the memoized steady state, which must stay well under 1ms/network).
-const defaultBench = "BenchmarkMeasureDry|BenchmarkDirectTiledWet|BenchmarkWinogradFusedWet|BenchmarkTuneNetwork|BenchmarkTuneNetworkWarm|BenchmarkTuneNetworkMixedKinds|BenchmarkTuneResume|BenchmarkCacheKey|BenchmarkBlockedConvShape|BenchmarkTuneEngine|BenchmarkTrainGBTIncremental|BenchmarkAnalyticVerdict"
+const defaultBench = "BenchmarkMeasureDry|BenchmarkDirectTiledWet|BenchmarkWinogradFusedWet|BenchmarkTuneNetwork|BenchmarkTuneNetworkWarm|BenchmarkTuneNetworkMixedKinds|BenchmarkTuneNetworkHit|BenchmarkTuneResume|BenchmarkCacheKey|BenchmarkBlockedConvShape|BenchmarkTuneEngine|BenchmarkTrainGBTIncremental|BenchmarkAnalyticVerdict"
 
 // parseLine parses one `go test -bench` result line, e.g.
 //

@@ -272,30 +272,49 @@ func (c *Cache) put(key string, e CacheEntry) {
 // TTL is evicted and reported as a miss, so a long-running service never
 // serves verdicts staler than its policy allows.
 func (c *Cache) getEntry(archName string, kind Kind, s shapes.ConvShape) (CacheEntry, bool) {
+	p := c.policy.Load()
+	e, m, ok, expired := c.peek(archName, kind, s, p)
+	if expired {
+		c.expire(cacheKey(archName, kind, s), p)
+	}
+	if !ok {
+		c.misses.Add(1)
+		return CacheEntry{}, false
+	}
+	c.touch(m, p)
+	return e, true
+}
+
+// peek is the side-effect-free half of getEntry: it reads an entry, plus
+// its accounting record when policy p is installed, without counting a hit
+// or miss, bumping recency or evicting. Under a TTL policy an entry idle
+// past the TTL reads as absent and expired. TuneNetworkContext's lookup
+// pass peeks every key first and books the hits (touch) only once the
+// whole network is answered, so a request that falls through to the sweep
+// is not counted twice.
+func (c *Cache) peek(archName string, kind Kind, s shapes.ConvShape, p *EvictionPolicy) (e CacheEntry, m *entryMeta, ok, expired bool) {
 	var kb [cacheKeyBuf]byte
 	key := appendCacheKey(kb[:0], archName, kind, s)
 	sh := &c.shards[shardIndex(key)]
 	// The eviction bookkeeping (recency clock, TTL stamp) is paid only
 	// when a policy is installed; the default unbounded cache keeps the
-	// bare map-hit lookup, plus one counter bump for Stats.
-	p := c.policy.Load()
+	// bare map-hit lookup.
 	sh.mu.RLock()
-	e, ok := sh.entries[string(key)]
-	var m *entryMeta
+	e, ok = sh.entries[string(key)]
 	if ok && p != nil {
 		m = sh.meta[string(key)]
 	}
 	sh.mu.RUnlock()
-	if !ok {
-		c.misses.Add(1)
-		return CacheEntry{}, false
+	if m != nil && p.TTL > 0 && p.now().UnixNano()-m.wall.Load() > int64(p.TTL) {
+		return CacheEntry{}, nil, false, true
 	}
+	return e, m, ok, false
+}
+
+// touch books a hit on an entry peek returned: the hit counter, and with a
+// policy installed the recency clock (and the TTL stamp under a TTL).
+func (c *Cache) touch(m *entryMeta, p *EvictionPolicy) {
 	if m != nil {
-		if p.TTL > 0 && p.now().UnixNano()-m.wall.Load() > int64(p.TTL) {
-			c.expire(string(key), p)
-			c.misses.Add(1)
-			return CacheEntry{}, false
-		}
 		m.used.Store(c.clock.Add(1))
 		// The wall clock backs the TTL only; without one, skip the
 		// time.Now so the hot lookup stays a pair of atomic bumps.
@@ -304,7 +323,6 @@ func (c *Cache) getEntry(archName string, kind Kind, s shapes.ConvShape) (CacheE
 		}
 	}
 	c.hits.Add(1)
-	return e, true
 }
 
 // Put stores a verdict-only tuning outcome.

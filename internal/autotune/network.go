@@ -28,6 +28,10 @@ import (
 // warm off the frozen pool — so verdicts stay bit-identical for any worker
 // count. A cache file saved with engine state (PutTrace) rebuilds the pool
 // on load, in which case already-covered families skip their cold wave.
+//
+// A network whose every key is already cached skips all of that: the
+// lookup pass (lookupNetwork) answers it from the cache in the caller's
+// goroutine, with the sweep's own selection rule (bestOf).
 
 // NetworkLayer is one layer of a network-level tuning request. Grouped or
 // depthwise layers carry their group count in Shape.Groups and tune with
@@ -113,20 +117,40 @@ type LayerVerdict struct {
 	Tier Tier
 }
 
-// netTask is one deduplicated (kind, shape) search of a network sweep.
-type netTask struct {
+// kindAnswer is one (kind, shape) answer competing for a layer's verdict.
+type kindAnswer struct {
 	kind    Kind
-	shape   shapes.ConvShape
-	sp      *Space
-	measure Measurer
-	owner   int // first layer index that requested this search
-
 	cfg     conv.Config
 	m       Measurement
 	shared  bool
 	partial bool
-	hist    []MeasuredConfig
-	err     error
+}
+
+// bestOf is the per-layer selection rule, the one both the lookup pass and
+// the sweep apply: outs arrive in candidateKinds order (Direct first when
+// it answered), and a later kind replaces the incumbent only when strictly
+// faster, so ties keep the earlier kind. outs must not be empty.
+func bestOf(l NetworkLayer, outs []kindAnswer) LayerVerdict {
+	best := outs[0]
+	for _, o := range outs[1:] {
+		if o.m.Seconds < best.m.Seconds {
+			best = o
+		}
+	}
+	return LayerVerdict{Layer: l, Kind: best.kind, Config: best.cfg, M: best.m,
+		Shared: best.shared, Partial: best.partial}
+}
+
+// netTask is one deduplicated (kind, shape) search of a network sweep.
+type netTask struct {
+	kindAnswer // the search's kind and, once run, its answer
+	shape      shapes.ConvShape
+	sp         *Space
+	measure    Measurer
+	owner      int // first layer index that requested this search
+
+	hist []MeasuredConfig
+	err  error
 }
 
 // poolRowCap bounds the transferred training rows per pool family; beyond
@@ -297,7 +321,9 @@ func candidateKinds(s shapes.ConvShape, opts NetworkOptions) []Kind {
 // Workers/opts.Tune.Workers setting — with or without warm-starting.
 // cache may be nil for a throwaway run; passing a loaded persistent cache
 // skips already-tuned layers entirely (or resumes them, with opts.Resume)
-// and seeds the transfer pool from any persisted engine state.
+// and seeds the transfer pool from any persisted engine state. A network
+// the cache answers in full returns from one lookup pass, without setting
+// up a single search.
 func TuneNetwork(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts NetworkOptions) ([]LayerVerdict, error) {
 	return TuneNetworkContext(context.Background(), arch, layers, cache, opts)
 }
@@ -315,6 +341,9 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 	}
 	if cache == nil {
 		cache = NewCache()
+	}
+	if verdicts, ok := lookupNetwork(arch, layers, cache, opts); ok {
+		return verdicts, nil
 	}
 	workers := opts.Workers
 	if workers < 1 {
@@ -335,7 +364,7 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 		if err != nil {
 			return -1, err
 		}
-		tasks = append(tasks, &netTask{kind: kind, shape: s, sp: sp,
+		tasks = append(tasks, &netTask{kindAnswer: kindAnswer{kind: kind}, shape: s, sp: sp,
 			measure: NewMemoMeasure(arch, s, kind).Measure, owner: layer})
 		taskIdx[key] = len(tasks) - 1
 		return len(tasks) - 1, nil
@@ -408,9 +437,20 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 	}
 
 	verdicts := make([]LayerVerdict, len(layers))
+	var outs []kindAnswer
 	for i, l := range layers {
-		dt := tasks[tasksOf[i][0]] // the mandatory Direct search
-		if dt.err != nil {
+		// The layer's candidates that answered, in candidateKinds order.
+		// A failed alternative-kind search (e.g. no valid configuration
+		// for tiny spatial dims) just drops out of the running.
+		outs = outs[:0]
+		for _, ti := range tasksOf[i] {
+			if t := tasks[ti]; t.err == nil {
+				o := t.kindAnswer
+				o.shared = o.shared || t.owner != i
+				outs = append(outs, o)
+			}
+		}
+		if dt := tasks[tasksOf[i][0]]; dt.err != nil { // the mandatory Direct search
 			if !opts.AnalyticFallback {
 				return nil, fmt.Errorf("autotune: layer %q: %w", l.Name, dt.err)
 			}
@@ -419,43 +459,79 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 			// otherwise the layer is answered by the analytic tier so the
 			// sweep stays complete. Only an unrankable space still fails
 			// the sweep.
-			best := -1
-			for _, ti := range tasksOf[i][1:] {
-				if t := tasks[ti]; t.err == nil && (best < 0 || t.m.Seconds < tasks[best].m.Seconds) {
-					best = ti
+			if len(outs) == 0 {
+				spaces := make([]*Space, 0, len(tasksOf[i]))
+				for _, ti := range tasksOf[i] {
+					spaces = append(spaces, tasks[ti].sp)
 				}
-			}
-			if best >= 0 {
-				t := tasks[best]
-				verdicts[i] = LayerVerdict{Layer: l, Kind: t.kind, Config: t.cfg, M: t.m,
-					Shared: t.shared || t.owner != i, Partial: t.partial}
+				av, ok := analyticLayerVerdict(l, spaces, opts.AnalyticCalibration)
+				if !ok {
+					return nil, fmt.Errorf("autotune: layer %q: %w", l.Name, dt.err)
+				}
+				verdicts[i] = av
 				continue
 			}
-			spaces := make([]*Space, 0, len(tasksOf[i]))
-			for _, ti := range tasksOf[i] {
-				spaces = append(spaces, tasks[ti].sp)
-			}
-			av, ok := analyticLayerVerdict(l, spaces, opts.AnalyticCalibration)
-			if !ok {
-				return nil, fmt.Errorf("autotune: layer %q: %w", l.Name, dt.err)
-			}
-			verdicts[i] = av
-			continue
 		}
-		v := LayerVerdict{Layer: l, Kind: Direct, Config: dt.cfg, M: dt.m,
-			Shared: dt.shared || dt.owner != i, Partial: dt.partial}
-		for _, ti := range tasksOf[i][1:] {
-			// A failed alternative-kind search (e.g. no valid configuration
-			// for tiny spatial dims) leaves the incumbent verdict standing.
-			if t := tasks[ti]; t.err == nil && t.m.Seconds < v.M.Seconds {
-				v.Kind, v.Config, v.M = t.kind, t.cfg, t.m
-				v.Shared = t.shared || t.owner != i
-				v.Partial = t.partial
-			}
-		}
-		verdicts[i] = v
+		verdicts[i] = bestOf(l, outs)
 	}
 	return verdicts, nil
+}
+
+// lookupNetwork is TuneNetworkContext's first step: the cache-only answer
+// for a network whose every (kind, shape) key is already cached — and, with
+// opts.Resume, covered at opts.Tune.Budget (resumeCoverage). It builds no
+// Space, primes no transfer pool and starts no goroutine; the sweep would
+// only have read the same entries. Each layer's verdict comes from the
+// sweep's own selection rule (bestOf) over the cached outcomes, all Shared,
+// none Partial, every one measured, so the answer is the one the sweep
+// returns. The cache's accounting matches the sweep's too: every key is
+// peeked first, and only when the whole network is answered does each
+// distinct key book one hit and a recency bump. On the first missing,
+// expired or uncovered key — or a layer shape the sweep would reject —
+// ok is false, nothing has been counted, and the caller runs the sweep.
+func lookupNetwork(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts NetworkOptions) (verdicts []LayerVerdict, ok bool) {
+	budget := opts.Tune.normalized().Budget
+	p := cache.policy.Load()
+	// A layer's candidate kinds, and so its verdict, depend on its shape
+	// alone: a repeated shape reuses the first such layer's verdict, which
+	// also keeps one hit per distinct key. Groups 0 and 1 share a key.
+	first := make(map[shapes.ConvShape]int, len(layers))
+	hits := make([]*entryMeta, 0, 2*len(layers)) // nil records without a policy
+	verdicts = make([]LayerVerdict, len(layers))
+	var outs []kindAnswer
+	for i, l := range layers {
+		if l.Shape.Validate() != nil {
+			return nil, false // the sweep reports the layer's error
+		}
+		s := l.Shape
+		s.Groups = s.G()
+		if j, dup := first[s]; dup {
+			verdicts[i] = verdicts[j]
+			verdicts[i].Layer = l
+			continue
+		}
+		first[s] = i
+		outs = outs[:0]
+		for _, kind := range candidateKinds(s, opts) {
+			e, m, found, _ := cache.peek(arch.Name, kind, s, p)
+			if !found {
+				return nil, false
+			}
+			if opts.Resume {
+				if _, covered := resumeCoverage(e, budget); !covered {
+					return nil, false
+				}
+			}
+			outs = append(outs, kindAnswer{kind: kind, cfg: e.Config.config(),
+				m: Measurement{Seconds: e.Seconds, GFLOPS: e.GFLOPS}, shared: true})
+			hits = append(hits, m)
+		}
+		verdicts[i] = bestOf(l, outs)
+	}
+	for _, m := range hits {
+		cache.touch(m, p)
+	}
+	return verdicts, true
 }
 
 // NetworkSeconds sums repeat-weighted simulated layer times — the

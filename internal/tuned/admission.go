@@ -33,14 +33,15 @@ type admission struct {
 func newAdmission(max int64) *admission { return &admission{max: max} }
 
 // acquire reserves cost in-flight measurements, reporting whether the
-// request is admitted.
+// request is admitted. A zero cost always is: it triggers no measurement,
+// even while an oversize request running alone holds more than the cap.
 func (a *admission) acquire(cost int64) bool {
 	if cost < 0 {
 		cost = 0
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.max > 0 && a.inflight > 0 && a.inflight+cost > a.max {
+	if cost > 0 && a.max > 0 && a.inflight > 0 && a.inflight+cost > a.max {
 		return false
 	}
 	a.inflight += cost

@@ -421,6 +421,36 @@ func TestServerAdmissionCachedRequestIsFree(t *testing.T) {
 	}
 }
 
+// A zero cost is admitted even while an oversize request, let in alone on
+// an idle server, holds more than the cap: a fully cached network triggers
+// no measurement, so it must get neither a 429 nor an analytic answer.
+func TestAdmissionZeroCostAlwaysAdmits(t *testing.T) {
+	a := newAdmission(100)
+	if !a.acquire(500) {
+		t.Fatal("an oversize request on an idle server must run alone")
+	}
+	if !a.acquire(0) {
+		t.Error("acquire(0) refused while an oversize request runs")
+	}
+	if a.acquire(1) {
+		t.Error("a costly request admitted past the cap")
+	}
+
+	opts := tinyOpts(8, 3)
+	srv, ts := newTestServer(t, Config{Tune: opts, Winograd: false, MaxInflight: 8})
+	desc := repro.DescribeNetwork(testArch.Name, netA()[:1])
+	if _, status := postTune(t, ts.URL, desc); status != http.StatusOK {
+		t.Fatalf("cold request: status %d", status)
+	}
+	if !srv.adm.acquire(500) {
+		t.Fatal("could not reserve an oversize budget on the idle server")
+	}
+	defer srv.adm.release(500)
+	if _, status := postTune(t, ts.URL, desc); status != http.StatusOK {
+		t.Fatalf("cached request beside an oversize one: status %d, want 200", status)
+	}
+}
+
 func TestServerErrorPaths(t *testing.T) {
 	_, ts := newTestServer(t, Config{Tune: tinyOpts(8, 1)})
 	post := func(body string) int {
