@@ -500,7 +500,7 @@ func BenchmarkAnalyticVerdict(b *testing.B) {
 	b.Run("scan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := autotune.NewAnalyticDSE(arch).Network(layers, true); err != nil {
+			if _, err := autotune.NewAnalyticDSE(arch).NetworkKinds(layers, []autotune.Kind{autotune.Winograd}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -508,13 +508,13 @@ func BenchmarkAnalyticVerdict(b *testing.B) {
 	b.Run("serve", func(b *testing.B) {
 		b.ReportAllocs()
 		dse := autotune.NewAnalyticDSE(arch)
-		verdicts, err := dse.Network(layers, true)
+		verdicts, err := dse.NetworkKinds(layers, []autotune.Kind{autotune.Winograd})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := dse.Network(layers, true); err != nil {
+			if _, err := dse.NetworkKinds(layers, []autotune.Kind{autotune.Winograd}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,12 +4,12 @@
 //	tuned -addr :9911 -state tuned.cache -resume
 //
 // Clients POST a JSON network description to /v1/tune and get per-layer
-// verdicts back; GET /v1/bench serves the benchmark trajectory,
-// GET /healthz the cache and admission counters, and GET /metrics the
-// same observability as a Prometheus text exposition. Identical in-flight
-// requests collapse into one search, concurrent distinct networks merge
-// into one transfer pool, and SIGTERM flushes the cache (verdicts plus
-// engine state) to -state so the next boot replays instead of re-tuning.
+// verdicts back; GET /healthz serves the cache and admission counters, and
+// GET /metrics the same observability as a Prometheus text exposition.
+// Identical in-flight requests collapse into one search, concurrent
+// distinct networks merge into one transfer pool, and SIGTERM flushes the
+// cache (verdicts plus engine state) to -state so the next boot replays
+// instead of re-tuning.
 package main
 
 import (
@@ -37,7 +37,6 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 0, "max cached search keys before LRU eviction (0 = unlimited)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "approximate max cache size in bytes before LRU eviction (0 = unlimited)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "expire cache entries unused for this long (0 = never)")
-	bench := flag.String("bench", "BENCH_autotune.json", "benchmark trajectory JSON served at /v1/bench")
 	budget := flag.Int("budget", 0, "default per-layer measurement budget (0 = engine default)")
 	seed := flag.Int64("seed", 0, "default engine seed")
 	workers := flag.Int("workers", 0, "measurement workers per search (0 = GOMAXPROCS)")
@@ -114,7 +113,6 @@ func main() {
 		RequestTimeout: *requestTimeout,
 		Chaos: chaos.Config{Seed: *chaosSeed, FailRate: *chaosFailRate,
 			MaxConsecutive: *chaosMaxConsecutive},
-		BenchPath:        *bench,
 		AnalyticOverflow: *analyticOverflow,
 		Breaker: autotune.BreakerConfig{Threshold: *breakerThreshold,
 			Window: *breakerWindow, Cooldown: *breakerCooldown, Probes: *breakerProbes},

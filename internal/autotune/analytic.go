@@ -391,17 +391,6 @@ func (a *AnalyticDSE) Layer(kind Kind, s shapes.ConvShape) (AnalyticVerdict, err
 	return sp.Analytic(a.Calibration())
 }
 
-// Network is the measurement-free analog of TuneNetwork for the classic
-// direct-vs-Winograd choice; NetworkKinds generalizes it to any candidate
-// kind set.
-func (a *AnalyticDSE) Network(layers []NetworkLayer, winograd bool) ([]LayerVerdict, error) {
-	var kinds []Kind
-	if winograd {
-		kinds = []Kind{Winograd}
-	}
-	return a.NetworkKinds(layers, kinds)
-}
-
 // NetworkKinds is the measurement-free analog of TuneNetwork with per-layer
 // kernel choice: every layer gets an analytic verdict (Tier: TierAnalytic),
 // choosing among Direct and the requested kinds by the analytic estimate

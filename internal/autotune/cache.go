@@ -544,10 +544,14 @@ func (e CacheEntry) validate() (string, error) {
 }
 
 // Entry retrieves the raw persisted entry of one key — engine state
-// included when present — for callers shipping entries elsewhere (the
-// cluster replication path). The bool reports presence.
+// included when present — for callers that inspect or ship entries rather
+// than serve them (the daemon's admission check, the cluster replication
+// path). The bool reports presence; an entry idle past a TTL policy reads
+// as absent. It books no hit or miss and bumps no recency: the lookup that
+// serves the key counts it once.
 func (c *Cache) Entry(archName string, kind Kind, s shapes.ConvShape) (CacheEntry, bool) {
-	return c.getEntry(archName, kind, s)
+	e, _, ok, _ := c.peek(archName, kind, s, c.policy.Load())
+	return e, ok
 }
 
 // Key returns the entry's cache key after validating it — the same
@@ -858,14 +862,13 @@ func convergedAt(curve []float64) int {
 // continues it.
 func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMeasurer, opts Options, resume bool) (conv.Config, Measurement, bool, []MeasuredConfig, bool, error) {
 	opts = opts.normalized()
-	// satisfied reports whether the cache alone answers this request. The
-	// persisted rows are decoded only on the resume path (where they decide
-	// coverage and feed the replay); a plain hit stays allocation-light and
-	// returns no history — the transfer pool reads the cache's state
-	// entries directly (prime), not this seam.
+	// satisfied reports whether a looked-up entry alone answers this
+	// request. The persisted rows are decoded only on the resume path
+	// (where they decide coverage and feed the replay); a plain hit stays
+	// allocation-light and returns no history — the transfer pool reads the
+	// cache's state entries directly (prime), not this seam.
 	var resumeHist []MeasuredConfig
-	satisfied := func() (conv.Config, Measurement, []MeasuredConfig, bool) {
-		e, ok := cache.getEntry(sp.Arch.Name, sp.Kind, sp.Shape)
+	satisfied := func(e CacheEntry, ok bool) (conv.Config, Measurement, []MeasuredConfig, bool) {
 		if !ok {
 			return conv.Config{}, Measurement{}, nil, false
 		}
@@ -878,7 +881,7 @@ func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMe
 		}
 		return e.Config.config(), Measurement{Seconds: e.Seconds, GFLOPS: e.GFLOPS}, nil, true
 	}
-	if cfg, m, hist, ok := satisfied(); ok {
+	if cfg, m, hist, ok := satisfied(cache.getEntry(sp.Arch.Name, sp.Kind, sp.Shape)); ok {
 		return cfg, m, true, hist, false, nil
 	}
 	key := cacheKey(sp.Arch.Name, sp.Kind, sp.Shape)
@@ -890,7 +893,9 @@ func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMe
 	}
 	// Re-check under the flight lock: a racing search may have completed —
 	// Put then delete its flight entry — between the check above and here.
-	if cfg, m, hist, ok := satisfied(); ok {
+	// The check above already booked this lookup's miss, so the re-check
+	// peeks without counting.
+	if cfg, m, hist, ok := satisfied(cache.Entry(sp.Arch.Name, sp.Kind, sp.Shape)); ok {
 		cache.flightMu.Unlock()
 		return cfg, m, true, hist, false, nil
 	}

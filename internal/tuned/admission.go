@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"repro/internal/autotune"
-	"repro/internal/memsim"
 )
 
 // admission is the server's load-shedding gate. The unit of account is the
@@ -72,29 +71,15 @@ func (a *admission) load() int64 {
 // per distinct (kind, shape) key not already answered by the cache, one
 // full per-layer budget. Cached keys cost nothing — a replayed network
 // passes admission even under full load, which is exactly right: it
-// triggers no measurements. The candidate set per layer is exactly what
-// the sweep would search (autotune.CandidateKinds), so extra kinds are
-// accounted before they can run.
-func admissionCost(cache *autotune.Cache, arch memsim.Arch, layers []autotune.NetworkLayer, budget int, winograd bool, kinds []autotune.Kind) int64 {
-	type key struct {
-		kind autotune.Kind
-		s    string
-	}
-	seen := make(map[key]bool)
+// triggers no measurements. The keys are exactly what the sweep would
+// search (tuneRequest.keys), so extra kinds are accounted before they can
+// run. The presence check books no cache hit or miss: the sweep's own
+// lookup counts each key once.
+func admissionCost(cache *autotune.Cache, req tuneRequest) int64 {
 	var cost int64
-	count := func(kind autotune.Kind, l autotune.NetworkLayer) {
-		k := key{kind, l.Shape.String()}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		if _, _, ok := cache.Get(arch.Name, kind, l.Shape); !ok {
-			cost += int64(budget)
-		}
-	}
-	for _, l := range layers {
-		for _, kind := range autotune.CandidateKinds(l.Shape, winograd, kinds) {
-			count(kind, l)
+	for _, k := range req.keys() {
+		if _, ok := cache.Entry(req.arch.Name, k.kind, k.shape); !ok {
+			cost += int64(req.opts.Budget)
 		}
 	}
 	return cost

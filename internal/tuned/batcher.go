@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/autotune"
-	"repro/internal/memsim"
 )
 
 // The batcher is how strangers' layers warm-start each other. Requests
@@ -21,10 +20,9 @@ import (
 
 // tuneJob is one admitted request waiting on its batch.
 type tuneJob struct {
-	key    groupKey
-	arch   memsim.Arch
-	layers []autotune.NetworkLayer
-	opts   autotune.NetworkOptions
+	key  groupKey
+	req  tuneRequest
+	opts autotune.NetworkOptions
 
 	verdicts []autotune.LayerVerdict
 	err      error
@@ -36,11 +34,10 @@ type tuneJob struct {
 // options. Merging across differing options would change verdicts (the
 // engine is deterministic in them), so each distinct key tunes separately.
 type groupKey struct {
-	arch     string
-	budget   int
-	seed     int64
-	winograd bool
-	kinds    string // canonicalized candidate-kind list (kindsKey)
+	arch   string
+	budget int
+	seed   int64
+	kinds  string // the canonical candidate-kind set (tuneRequest.kindsKey)
 }
 
 // batcher collects jobs for one admission window, then hands the whole
@@ -114,17 +111,17 @@ func groupJobs(jobs []*tuneJob) [][]*tuneJob {
 func runGroup(ctx context.Context, cache *autotune.Cache, group []*tuneJob) {
 	var merged []autotune.NetworkLayer
 	for _, j := range group {
-		merged = append(merged, j.layers...)
+		merged = append(merged, j.req.layers...)
 	}
-	verdicts, err := autotune.TuneNetworkContext(ctx, group[0].arch, merged, cache, group[0].opts)
+	verdicts, err := autotune.TuneNetworkContext(ctx, group[0].req.arch, merged, cache, group[0].opts)
 	off := 0
 	for _, j := range group {
 		if err != nil {
 			j.err = err
 		} else {
-			j.verdicts = verdicts[off : off+len(j.layers)]
+			j.verdicts = verdicts[off : off+len(j.req.layers)]
 		}
-		off += len(j.layers)
+		off += len(j.req.layers)
 		close(j.done)
 	}
 }

@@ -14,9 +14,9 @@ func jobWithKey(k groupKey) *tuneJob {
 // order inside each group — the order decides which layer tunes cold as a
 // family's warm-schedule representative, so it is part of determinism.
 func TestGroupJobsPartitionsByKeyPreservingOrder(t *testing.T) {
-	k1 := groupKey{arch: "V100", budget: 16, seed: 1, winograd: true}
-	k2 := groupKey{arch: "V100", budget: 16, seed: 2, winograd: true}
-	k3 := groupKey{arch: "TitanX", budget: 16, seed: 1, winograd: true}
+	k1 := groupKey{arch: "V100", budget: 16, seed: 1, kinds: "winograd"}
+	k2 := groupKey{arch: "V100", budget: 16, seed: 2, kinds: "winograd"}
+	k3 := groupKey{arch: "TitanX", budget: 16, seed: 1, kinds: "winograd"}
 	jobs := []*tuneJob{jobWithKey(k1), jobWithKey(k2), jobWithKey(k1), jobWithKey(k3), jobWithKey(k1)}
 
 	groups := groupJobs(jobs)

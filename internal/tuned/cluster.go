@@ -12,7 +12,6 @@ import (
 	"repro"
 	"repro/internal/autotune"
 	"repro/internal/cluster"
-	"repro/internal/memsim"
 )
 
 // This file wires the cluster peer layer (internal/cluster) into the
@@ -98,11 +97,9 @@ func (s *Server) stopCluster() {
 // proxied to an owner, or answered from the local fallback tier because no
 // owner was reachable) and false when this replica owns the key and should
 // serve it locally.
-func (s *Server) routeTune(w http.ResponseWriter, r *http.Request, desc repro.NetworkDescription,
-	arch memsim.Arch, layers []autotune.NetworkLayer, opts autotune.Options, winograd bool, kinds []autotune.Kind) bool {
+func (s *Server) routeTune(w http.ResponseWriter, r *http.Request, req tuneRequest) bool {
 	c := s.cluster
-	key := requestKey(arch.Name, layers, opts.Budget, opts.Seed, winograd, kinds)
-	owners := c.ring.Owners(key, c.cfg.Replicas)
+	owners := c.ring.Owners(req.key(), c.cfg.Replicas)
 	ladder := make([]string, 0, len(owners))
 	for _, o := range owners {
 		if o == c.cfg.Self {
@@ -112,7 +109,7 @@ func (s *Server) routeTune(w http.ResponseWriter, r *http.Request, desc repro.Ne
 			ladder = append(ladder, o)
 		}
 	}
-	envelope, err := json.Marshal(repro.ForwardedTuneRequest{Origin: c.cfg.Self, Attempt: 1, Network: desc})
+	envelope, err := json.Marshal(repro.ForwardedTuneRequest{Origin: c.cfg.Self, Attempt: 1, Network: req.describe()})
 	if err == nil && len(ladder) > 0 && s.forwardHedged(r.Context(), w, envelope, ladder) {
 		c.forwarded.Add(1)
 		return true
@@ -122,7 +119,7 @@ func (s *Server) routeTune(w http.ResponseWriter, r *http.Request, desc repro.Ne
 	// refinement enqueue inside gives this replica a measured answer to
 	// serve (and replicate) if the partition outlives the client's retry.
 	c.localFallbacks.Add(1)
-	s.serveAnalytic(w, arch, layers, opts, winograd, kinds)
+	s.serveAnalytic(w, req)
 	return true
 }
 
@@ -208,15 +205,13 @@ func (s *Server) handleClusterTune(w http.ResponseWriter, r *http.Request) {
 		errJSON(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	arch, err := memsim.ByName(fr.Network.Arch)
+	req, err := s.newTuneRequest(fr.Network)
 	if err != nil {
 		errJSON(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.cluster.forwardServed.Add(1)
-	layers := fr.Network.NetworkLayers()
-	opts, winograd, kinds := s.requestOptions(fr.Network.Options)
-	s.serveTune(w, arch, layers, opts, winograd, kinds)
+	s.serveTune(w, req)
 }
 
 // handleClusterReplicate is POST /v1/cluster/replicate: a peer pushing the
@@ -251,12 +246,11 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 // to the key's other owners, asynchronously — replication is off the client
 // response path. A push failing (after the client's own retries) marks the
 // peer down and parks the entries as hinted handoff for the rejoin replay.
-func (s *Server) replicateRequest(arch memsim.Arch, layers []autotune.NetworkLayer, opts autotune.Options, winograd bool, kinds []autotune.Kind) {
+func (s *Server) replicateRequest(req tuneRequest) {
 	c := s.cluster
-	key := requestKey(arch.Name, layers, opts.Budget, opts.Seed, winograd, kinds)
 	targets := make([]string, 0, c.cfg.Replicas)
 	selfOwns := false
-	for _, o := range c.ring.Owners(key, c.cfg.Replicas) {
+	for _, o := range c.ring.Owners(req.key(), c.cfg.Replicas) {
 		if o == c.cfg.Self {
 			selfOwns = true
 		} else {
@@ -268,7 +262,7 @@ func (s *Server) replicateRequest(arch memsim.Arch, layers []autotune.NetworkLay
 		// owners will produce their own entries when they next see the key.
 		return
 	}
-	entries := s.collectEntries(arch, layers, winograd, kinds)
+	entries := s.collectEntries(req)
 	if len(entries) == 0 {
 		return
 	}
@@ -304,21 +298,13 @@ func (s *Server) replicateRequest(arch memsim.Arch, layers []autotune.NetworkLay
 // per-layer kernel choice compares), so after a measured answer every one
 // of these exists and the receiving replica can serve the same request with
 // zero fresh measurements.
-func (s *Server) collectEntries(arch memsim.Arch, layers []autotune.NetworkLayer, winograd bool, kinds []autotune.Kind) []autotune.CacheEntry {
-	seen := make(map[string]bool)
+func (s *Server) collectEntries(req tuneRequest) []autotune.CacheEntry {
 	var out []autotune.CacheEntry
-	for _, l := range layers {
-		for _, kind := range autotune.CandidateKinds(l.Shape, winograd, kinds) {
-			e, ok := s.cache.Entry(arch.Name, kind, l.Shape)
-			if !ok {
-				continue
+	for _, k := range req.keys() {
+		if e, ok := s.cache.Entry(req.arch.Name, k.kind, k.shape); ok {
+			if _, err := e.Key(); err == nil {
+				out = append(out, e)
 			}
-			key, err := e.Key()
-			if err != nil || seen[key] {
-				continue
-			}
-			seen[key] = true
-			out = append(out, e)
 		}
 	}
 	return out

@@ -14,7 +14,6 @@ import (
 	"repro/internal/autotune"
 	"repro/internal/chaos"
 	"repro/internal/cluster"
-	"repro/internal/memsim"
 	"repro/internal/models"
 )
 
@@ -146,14 +145,12 @@ func (h *clusterHarness) restart(i int) {
 func (h *clusterHarness) ownersOf(desc repro.NetworkDescription) []int {
 	h.t.Helper()
 	srv := h.servers[0]
-	arch, err := memsim.ByName(desc.Arch)
+	req, err := srv.newTuneRequest(desc)
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	opts, winograd, kinds := srv.requestOptions(desc.Options)
-	key := requestKey(arch.Name, desc.NetworkLayers(), opts.Budget, opts.Seed, winograd, kinds)
 	var owners []int
-	for _, addr := range srv.cluster.ring.Owners(key, srv.cluster.cfg.Replicas) {
+	for _, addr := range srv.cluster.ring.Owners(req.key(), srv.cluster.cfg.Replicas) {
 		for i, a := range h.addrs {
 			if a == addr {
 				owners = append(owners, i)

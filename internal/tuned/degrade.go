@@ -3,8 +3,6 @@ package tuned
 import (
 	"encoding/json"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro"
@@ -37,13 +35,9 @@ const (
 
 // refineJob is one analytically-answered request awaiting measurement.
 type refineJob struct {
-	key      string
-	arch     memsim.Arch
-	layers   []autotune.NetworkLayer
-	opts     autotune.NetworkOptions
-	budget   int
-	winograd bool
-	kinds    []autotune.Kind
+	key  string // req.key(), the dedup unit
+	req  tuneRequest
+	opts autotune.NetworkOptions
 }
 
 // analyticFor returns the per-architecture analytic tier, building it on
@@ -69,16 +63,16 @@ func (s *Server) analyticFor(arch memsim.Arch) *autotune.AnalyticDSE {
 // — 200, every verdict Tier "analytic" — and enqueues it for background
 // refinement. The analytic tier consults no cache and takes no budget, so
 // this path stays fast no matter how overloaded the measured path is.
-func (s *Server) serveAnalytic(w http.ResponseWriter, arch memsim.Arch, layers []autotune.NetworkLayer, opts autotune.Options, winograd bool, kinds []autotune.Kind) {
-	verdicts, err := s.analyticFor(arch).NetworkKinds(layers, analyticKinds(winograd, kinds))
+func (s *Server) serveAnalytic(w http.ResponseWriter, req tuneRequest) {
+	verdicts, err := s.analyticFor(req.arch).NetworkKinds(req.layers, req.kinds)
 	if err != nil {
 		errJSON(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	s.requests.Add(1)
 	s.countTiers(verdicts)
-	s.enqueueRefine(arch, layers, opts, winograd, kinds)
-	resp := repro.TuneResponse{Arch: arch.Name,
+	s.enqueueRefine(req)
+	resp := repro.TuneResponse{Arch: req.arch.Name,
 		Verdicts:       repro.DescribeVerdicts(verdicts),
 		NetworkSeconds: autotune.NetworkSeconds(verdicts),
 		Tier:           autotune.TierAnalytic.String()}
@@ -125,59 +119,18 @@ func (s *Server) countTiers(verdicts []autotune.LayerVerdict) {
 	s.verdictMu.Unlock()
 }
 
-// analyticKinds folds the legacy winograd flag into the candidate-kind list
-// the analytic tier filters on (candidateKinds treats a requested Winograd
-// and the flag identically).
-func analyticKinds(winograd bool, kinds []autotune.Kind) []autotune.Kind {
-	if !winograd {
-		return kinds
-	}
-	for _, k := range kinds {
-		if k == autotune.Winograd {
-			return kinds
-		}
-	}
-	out := make([]autotune.Kind, 0, len(kinds)+1)
-	out = append(out, kinds...)
-	return append(out, autotune.Winograd)
-}
-
 func refinedKey(archName string, kind autotune.Kind, shape string) string {
 	return archName + "|" + kind.String() + "|" + shape
-}
-
-// requestKey identifies one request by everything that shapes its answer —
-// architecture, budget, seed, winograd, candidate kinds, every layer shape.
-// It is the dedup unit of the refinement queue (a hammered analytic
-// endpoint enqueues each network once) and the routing key of the cluster
-// layer (identical requests from any replica converge on one owner, so the
-// cache dedup and warm-merge machinery keep working cluster-wide).
-func requestKey(archName string, layers []autotune.NetworkLayer, budget int, seed int64, winograd bool, kinds []autotune.Kind) string {
-	var b strings.Builder
-	b.WriteString(archName)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(budget))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatInt(seed, 10))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatBool(winograd))
-	b.WriteByte('|')
-	b.WriteString(kindsKey(kinds))
-	for _, l := range layers {
-		b.WriteByte('|')
-		b.WriteString(l.Shape.String())
-	}
-	return b.String()
 }
 
 // enqueueRefine queues an analytically-answered network for background
 // measurement. A full queue or an already-pending identical request drops
 // the job — the next analytic answer for it re-enqueues.
-func (s *Server) enqueueRefine(arch memsim.Arch, layers []autotune.NetworkLayer, opts autotune.Options, winograd bool, kinds []autotune.Kind) {
+func (s *Server) enqueueRefine(req tuneRequest) {
 	if s.refineCh == nil {
 		return
 	}
-	key := requestKey(arch.Name, layers, opts.Budget, opts.Seed, winograd, kinds)
+	key := req.key()
 	s.refineMu.Lock()
 	if s.refinePending[key] {
 		s.refineMu.Unlock()
@@ -185,12 +138,12 @@ func (s *Server) enqueueRefine(arch memsim.Arch, layers []autotune.NetworkLayer,
 	}
 	s.refinePending[key] = true
 	s.refineMu.Unlock()
-	job := &refineJob{key: key, arch: arch, layers: layers,
-		opts: s.networkOptions(arch, opts, winograd, kinds), budget: opts.Budget,
-		winograd: winograd, kinds: kinds}
+	job := &refineJob{key: key, req: req, opts: s.networkOptions(req)}
 	select {
 	case s.refineCh <- job:
-		s.rememberRefineJob(key, arch, layers, opts, winograd, kinds)
+		s.refineMu.Lock()
+		s.refineJobs[key] = req
+		s.refineMu.Unlock()
 	default:
 		s.refineDropped.Add(1)
 		s.refineMu.Lock()
@@ -232,7 +185,7 @@ func (s *Server) refineOne(j *refineJob) {
 	var cost int64
 	for {
 		if s.breaker.State() != autotune.BreakerOpen {
-			cost = admissionCost(s.cache, j.arch, j.layers, j.budget, j.winograd, j.kinds)
+			cost = admissionCost(s.cache, j.req)
 			if s.adm.acquire(cost) {
 				break
 			}
@@ -245,7 +198,7 @@ func (s *Server) refineOne(j *refineJob) {
 		}
 	}
 	defer s.adm.release(cost)
-	verdicts, err := autotune.TuneNetwork(j.arch, j.layers, s.cache, j.opts)
+	verdicts, err := autotune.TuneNetwork(j.req.arch, j.req.layers, s.cache, j.opts)
 	if err != nil {
 		s.refineFailed.Add(1)
 		return
@@ -257,7 +210,7 @@ func (s *Server) refineOne(j *refineJob) {
 		// breaker re-tripped mid-refinement) upgraded nothing; only
 		// genuinely measured keys are marked.
 		if v.Tier == autotune.TierMeasured {
-			s.refinedKeys[refinedKey(j.arch.Name, v.Kind, v.Layer.Shape.String())] = true
+			s.refinedKeys[refinedKey(j.req.arch.Name, v.Kind, v.Layer.Shape.String())] = true
 			measured++
 		}
 	}
@@ -267,9 +220,7 @@ func (s *Server) refineOne(j *refineJob) {
 		if s.cluster != nil {
 			// The refinement just upgraded cache entries this replica owns;
 			// ship the measured upgrade to the key's other owners too.
-			tune := j.opts.Tune
-			tune.Budget = j.budget
-			s.replicateRequest(j.arch, j.layers, tune, j.winograd, j.kinds)
+			s.replicateRequest(j.req)
 		}
 	} else {
 		s.refineFailed.Add(1)

@@ -8,7 +8,6 @@ import (
 
 	"repro"
 	"repro/internal/autotune"
-	"repro/internal/memsim"
 )
 
 // This file is the auxiliary persistence riding alongside the cache state
@@ -96,7 +95,7 @@ func (s *Server) flushAux() error {
 		sort.Strings(keys)
 		jobs := make([]repro.NetworkDescription, len(keys))
 		for i, k := range keys {
-			jobs[i] = s.refineJobs[k]
+			jobs[i] = s.refineJobs[k].describe()
 		}
 		s.refineMu.Unlock()
 		data, err := json.Marshal(refineFile{Version: auxFormatVersion, Jobs: jobs})
@@ -108,22 +107,6 @@ func (s *Server) flushAux() error {
 		}
 	}
 	return nil
-}
-
-// rememberRefineJob records an enqueued refinement job in the form the
-// snapshot persists (the wire description the replay feeds back through the
-// request path).
-func (s *Server) rememberRefineJob(key string, arch memsim.Arch, layers []autotune.NetworkLayer, opts autotune.Options, winograd bool, kinds []autotune.Kind) {
-	desc := repro.DescribeNetwork(arch.Name, layers)
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = k.String()
-	}
-	wg := winograd
-	desc.Options = &repro.RequestOptions{Budget: opts.Budget, Seed: opts.Seed, Winograd: &wg, Kinds: names}
-	s.refineMu.Lock()
-	s.refineJobs[key] = desc
-	s.refineMu.Unlock()
 }
 
 // restoreHandoff reloads parked hinted handoff from the last snapshot.
@@ -161,11 +144,8 @@ func (s *Server) restoreRefineQueue() {
 		if d.Validate() != nil {
 			continue
 		}
-		arch, err := memsim.ByName(d.Arch)
-		if err != nil {
-			continue
+		if req, err := s.newTuneRequest(d); err == nil {
+			s.enqueueRefine(req)
 		}
-		opts, winograd, kinds := s.requestOptions(d.Options)
-		s.enqueueRefine(arch, d.NetworkLayers(), opts, winograd, kinds)
 	}
 }

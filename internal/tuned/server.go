@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +14,6 @@ import (
 	"repro/internal/autotune"
 	"repro/internal/chaos"
 	"repro/internal/cluster"
-	"repro/internal/memsim"
 	"repro/internal/shapes"
 )
 
@@ -36,7 +33,8 @@ type Config struct {
 	// concurrently (default GOMAXPROCS, see autotune.NetworkOptions).
 	LayerWorkers int
 	// Winograd is the default for also tuning the fused Winograd dataflow
-	// where it applies (requests may override).
+	// where it applies (requests may override); each request folds the
+	// resolved flag into its candidate-kind set (see tuneRequest).
 	Winograd bool
 	// Kinds is the default extra candidate-kind set of the per-layer kernel
 	// choice (requests may override via options.kinds); Direct is always
@@ -75,9 +73,6 @@ type Config struct {
 	// fault injector — the harness behind the chaos e2e suite and CI job.
 	// Production deployments leave it zero.
 	Chaos chaos.Config
-	// BenchPath, when set, is the benchmark trajectory JSON served by
-	// GET /v1/bench (cmd/tuned points it at BENCH_autotune.json).
-	BenchPath string
 	// AnalyticOverflow degrades overload instead of shedding it: a request
 	// beyond the admission budget is answered immediately from the
 	// measurement-free analytic tier (200 with tier "analytic") instead of
@@ -142,7 +137,7 @@ type Server struct {
 	refineWG      sync.WaitGroup
 	refineMu      sync.Mutex
 	refinePending map[string]bool
-	refineJobs    map[string]repro.NetworkDescription // pending jobs in persistable form
+	refineJobs    map[string]tuneRequest // pending jobs, persisted by flushAux
 	refinedMu     sync.Mutex
 	refinedKeys   map[string]bool
 
@@ -239,7 +234,7 @@ func New(cfg Config) (*Server, error) {
 		s.refineCh = make(chan *refineJob, refineQueueCap)
 		s.refineStop = make(chan struct{})
 		s.refinePending = make(map[string]bool)
-		s.refineJobs = make(map[string]repro.NetworkDescription)
+		s.refineJobs = make(map[string]tuneRequest)
 		for i := 0; i < workers; i++ {
 			s.refineWG.Add(1)
 			go s.refineLoop()
@@ -260,7 +255,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/tune", s.handleTune)
-	mux.HandleFunc("GET /v1/bench", s.handleBench)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.initCluster(mux)
@@ -424,40 +418,38 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		errJSON(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	arch, err := memsim.ByName(desc.Arch)
+	req, err := s.newTuneRequest(desc)
 	if err != nil {
 		errJSON(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	layers := desc.NetworkLayers()
-	opts, winograd, kinds := s.requestOptions(desc.Options)
-	if s.cluster != nil && s.routeTune(w, r, desc, arch, layers, opts, winograd, kinds) {
+	if s.cluster != nil && s.routeTune(w, r, req) {
 		return
 	}
-	s.serveTune(w, arch, layers, opts, winograd, kinds)
+	s.serveTune(w, req)
 }
 
 // serveTune answers one request from this replica: the breaker check, the
 // admission gate, the batched sweep, the response. It is the local half of
 // the routing seam — both client requests this replica owns and requests
 // peers forward land here.
-func (s *Server) serveTune(w http.ResponseWriter, arch memsim.Arch, layers []autotune.NetworkLayer, opts autotune.Options, winograd bool, kinds []autotune.Kind) {
+func (s *Server) serveTune(w http.ResponseWriter, req tuneRequest) {
 	// Degradation trigger: a tripped breaker means a measured search could
 	// only burn its budget on fast-fails, so answer instantly from the
 	// analytic tier and let the refinement queue (and the next half-open
 	// probes) bring measured service back.
 	if s.breaker.State() == autotune.BreakerOpen {
-		s.serveAnalytic(w, arch, layers, opts, winograd, kinds)
+		s.serveAnalytic(w, req)
 		return
 	}
 
-	cost := admissionCost(s.cache, arch, layers, opts.Budget, winograd, kinds)
+	cost := admissionCost(s.cache, req)
 	if !s.adm.acquire(cost) {
 		if s.cfg.AnalyticOverflow {
 			// Degradation trigger: overload. Instead of shedding with 429,
 			// the overflow gets the instant analytic answer now and a
 			// background refinement slot once budget frees up.
-			s.serveAnalytic(w, arch, layers, opts, winograd, kinds)
+			s.serveAnalytic(w, req)
 			return
 		}
 		s.rejected.Add(1)
@@ -470,26 +462,20 @@ func (s *Server) serveTune(w http.ResponseWriter, arch memsim.Arch, layers []aut
 	defer s.adm.release(cost)
 	s.requests.Add(1)
 
-	job := &tuneJob{
-		key: groupKey{arch: arch.Name, budget: opts.Budget, seed: opts.Seed,
-			winograd: winograd, kinds: kindsKey(kinds)},
-		arch: arch, layers: layers,
-		opts: s.networkOptions(arch, opts, winograd, kinds),
-		done: make(chan struct{}),
-	}
+	job := &tuneJob{key: req.group(), req: req, opts: s.networkOptions(req), done: make(chan struct{})}
 	s.batch.submit(job)
 	<-job.done
 	if job.err != nil {
 		errJSON(w, http.StatusInternalServerError, "%v", job.err)
 		return
 	}
-	s.markTiers(arch.Name, job.verdicts)
+	s.markTiers(req.arch.Name, job.verdicts)
 	if s.cluster != nil {
 		// Replicate what the sweep just cached to the key's other owners,
 		// off the response path.
-		s.replicateRequest(arch, layers, opts, winograd, kinds)
+		s.replicateRequest(req)
 	}
-	resp := repro.TuneResponse{Arch: arch.Name,
+	resp := repro.TuneResponse{Arch: req.arch.Name,
 		Verdicts:       repro.DescribeVerdicts(job.verdicts),
 		NetworkSeconds: autotune.NetworkSeconds(job.verdicts)}
 	allAnalytic := true
@@ -506,7 +492,7 @@ func (s *Server) serveTune(w http.ResponseWriter, arch memsim.Arch, layers []aut
 		// mid-run, or the backend died outright): the response is a
 		// complete estimate, flagged as such, and worth refining.
 		resp.Tier = autotune.TierAnalytic.String()
-		s.enqueueRefine(arch, layers, opts, winograd, kinds)
+		s.enqueueRefine(req)
 	}
 	if resp.Partial {
 		s.partials.Add(1)
@@ -518,68 +504,15 @@ func (s *Server) serveTune(w http.ResponseWriter, arch memsim.Arch, layers []aut
 // networkOptions assembles the sweep options of one admitted request; with
 // any degradation trigger configured the sweep gets the analytic fallback,
 // so a layer whose search dies still answers.
-func (s *Server) networkOptions(arch memsim.Arch, opts autotune.Options, winograd bool, kinds []autotune.Kind) autotune.NetworkOptions {
-	no := autotune.NetworkOptions{Tune: opts, Workers: s.cfg.LayerWorkers,
-		Winograd: winograd, Kinds: kinds, Warm: s.cfg.Warm, Resume: s.cfg.Resume,
+func (s *Server) networkOptions(req tuneRequest) autotune.NetworkOptions {
+	no := autotune.NetworkOptions{Tune: req.opts, Workers: s.cfg.LayerWorkers,
+		Kinds: req.kinds, Warm: s.cfg.Warm, Resume: s.cfg.Resume,
 		WrapMeasurer: s.wrapMeasurer()}
 	if s.degraded {
 		no.AnalyticFallback = true
-		no.AnalyticCalibration = s.analyticFor(arch).Calibration()
+		no.AnalyticCalibration = s.analyticFor(req.arch).Calibration()
 	}
 	return no
-}
-
-// requestOptions resolves a request's overrides against the server
-// defaults.
-func (s *Server) requestOptions(o *repro.RequestOptions) (autotune.Options, bool, []autotune.Kind) {
-	opts := s.cfg.Tune
-	winograd := s.cfg.Winograd
-	kinds := s.cfg.Kinds
-	if o != nil {
-		if o.Budget > 0 {
-			opts.Budget = o.Budget
-		}
-		if o.Seed != 0 {
-			opts.Seed = o.Seed
-		}
-		if o.Winograd != nil {
-			winograd = *o.Winograd
-		}
-		if len(o.Kinds) > 0 {
-			// The description validator already vetted these names; a parse
-			// failure here can only mean a caller bypassed it, so fall back
-			// to the server default rather than crash.
-			if parsed, err := parseRequestKinds(o.Kinds); err == nil {
-				kinds = parsed
-			}
-		}
-	}
-	return opts, winograd, kinds
-}
-
-// parseRequestKinds converts wire kind names to engine kinds.
-func parseRequestKinds(names []string) ([]autotune.Kind, error) {
-	kinds := make([]autotune.Kind, len(names))
-	for i, n := range names {
-		k, err := autotune.ParseKind(n)
-		if err != nil {
-			return nil, err
-		}
-		kinds[i] = k
-	}
-	return kinds, nil
-}
-
-// kindsKey canonicalizes a kind list for grouping and dedup keys.
-func kindsKey(kinds []autotune.Kind) string {
-	var b strings.Builder
-	for i, k := range kinds {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k.String())
-	}
-	return b.String()
 }
 
 // retryAfterSeconds estimates how long a shed client should back off: the
@@ -592,22 +525,6 @@ func (s *Server) retryAfterSeconds() int64 {
 		secs = 1
 	}
 	return secs
-}
-
-// handleBench is GET /v1/bench: the benchmark trajectory JSON
-// (BENCH_autotune.json), the same artifact CI archives per commit.
-func (s *Server) handleBench(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.BenchPath == "" {
-		errJSON(w, http.StatusNotFound, "no benchmark trajectory configured")
-		return
-	}
-	data, err := os.ReadFile(s.cfg.BenchPath)
-	if err != nil {
-		errJSON(w, http.StatusNotFound, "benchmark trajectory: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
 }
 
 // Health is the /healthz body: liveness plus the cache and admission
