@@ -10,6 +10,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -172,7 +173,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 	b.ReportAllocs()
 	arch := memsim.V100
 	layer := shapes.ConvShape{Batch: 1, Cin: 96, Hin: 27, Win: 27, Cout: 256, Hker: 5, Wker: 5, Strid: 1, Pad: 2}
-	measure := autotune.DirectMeasurer(arch, layer)
+	measure := autotune.KindMeasurer(arch, layer, autotune.Direct)
 	opts := autotune.DefaultOptions()
 	opts.Budget = 64
 	opts.Patience = 0
@@ -186,11 +187,11 @@ func BenchmarkAblationPruning(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tf, err := autotune.Tune(full, measure, opts)
+		tf, err := autotune.Tune(context.Background(), full, autotune.LiftMeasurer(measure), nil, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tp, err := autotune.Tune(pruned, measure, opts)
+		tp, err := autotune.Tune(context.Background(), pruned, autotune.LiftMeasurer(measure), nil, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func BenchmarkAblationModelGuided(b *testing.B) {
 	b.ReportAllocs()
 	arch := memsim.V100
 	layer := shapes.ConvShape{Batch: 1, Cin: 256, Hin: 28, Win: 28, Cout: 128, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
-	measure := autotune.DirectMeasurer(arch, layer)
+	measure := autotune.KindMeasurer(arch, layer, autotune.Direct)
 	opts := autotune.DefaultOptions()
 	opts.Budget = 64
 	opts.Patience = 0
@@ -216,7 +217,7 @@ func BenchmarkAblationModelGuided(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tg, err := autotune.Tune(sp, measure, opts)
+		tg, err := autotune.Tune(context.Background(), sp, autotune.LiftMeasurer(measure), nil, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -531,7 +532,7 @@ func BenchmarkTuneResume(b *testing.B) {
 	arch := memsim.V100
 	// AlexNet conv2, the layer the engine benchmarks share.
 	s := shapes.ConvShape{Batch: 1, Cin: 96, Hin: 27, Win: 27, Cout: 256, Hker: 5, Wker: 5, Strid: 1, Pad: 2}
-	measure := autotune.DirectMeasurer(arch, s)
+	measure := autotune.KindMeasurer(arch, s, autotune.Direct)
 	opts := autotune.DefaultOptions()
 	opts.Patience = 0
 	opts.Seed = 1
@@ -548,7 +549,7 @@ func BenchmarkTuneResume(b *testing.B) {
 	halfCache := autotune.NewCache()
 	half := opts
 	half.Budget = 96
-	if _, _, err := autotune.TuneCached(halfCache, mustSpace(), measure, half); err != nil {
+	if _, err := autotune.Tune(context.Background(), mustSpace(), autotune.LiftMeasurer(measure), halfCache, half); err != nil {
 		b.Fatal(err)
 	}
 	var persisted bytes.Buffer
@@ -560,7 +561,7 @@ func BenchmarkTuneResume(b *testing.B) {
 	full.Budget = 192
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := autotune.Tune(mustSpace(), measure, full); err != nil {
+			if _, err := autotune.Tune(context.Background(), mustSpace(), autotune.LiftMeasurer(measure), nil, full); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -573,7 +574,7 @@ func BenchmarkTuneResume(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			tr, err := autotune.TuneResumed(cache, mustSpace(), measure, full)
+			tr, err := autotune.Tune(context.Background(), mustSpace(), autotune.LiftMeasurer(measure), cache, full)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -625,7 +626,7 @@ func BenchmarkMeasureDry(b *testing.B) {
 	arch := memsim.V100
 	s := shapes.ConvShape{Batch: 1, Cin: 256, Hin: 112, Win: 112, Cout: 512, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
 	cfg := conv.DefaultDirectConfig(arch, s)
-	measure := autotune.DirectMeasurer(arch, s)
+	measure := autotune.KindMeasurer(arch, s, autotune.Direct)
 	if _, ok := measure(cfg); !ok {
 		b.Fatal("default config rejected")
 	}
@@ -660,7 +661,7 @@ func BenchmarkMeasureDryWinograd(b *testing.B) {
 	arch := memsim.V100
 	s := shapes.ConvShape{Batch: 1, Cin: 256, Hin: 56, Win: 56, Cout: 128, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
 	cfg := conv.DefaultWinogradConfig(arch, s, 2)
-	measure := autotune.WinogradMeasurer(arch, s)
+	measure := autotune.KindMeasurer(arch, s, autotune.Winograd)
 	if _, ok := measure(cfg); !ok {
 		b.Fatal("default config rejected")
 	}

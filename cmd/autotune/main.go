@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -87,7 +88,9 @@ func main() {
 
 	opts := repro.TuneOptions{Budget: *budget, Seed: *seed, Workers: *workers,
 		MeasureLatency: *latency, NoPrune: *noPrune, MinDelta: *minDelta}
-	var trace *repro.TuneTrace
+	// Only -resume hands the cache to the engine; a plain run gets here on a
+	// cache miss and persists its trace below.
+	var tuneCache *autotune.Cache
 	replayed := 0
 	if *resume {
 		// Continue the cached search: its persisted measurement history
@@ -104,10 +107,9 @@ func main() {
 				return
 			}
 		}
-		trace, err = repro.ResumeKind(arch, s, kind, cache, opts)
-	} else {
-		trace, err = repro.TuneKind(arch, s, kind, opts)
+		tuneCache = cache
 	}
+	trace, err := repro.TuneKind(context.Background(), arch, s, kind, tuneCache, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 	fmt.Printf("search space: %d configs full, %d pruned (%.0f%%)\n\n",
 		full.Size(), pruned.Size(), 100*float64(pruned.Size())/float64(full.Size()))
 
-	measure := autotune.DirectMeasurer(arch, layer)
+	measure := autotune.KindMeasurer(arch, layer, autotune.Direct)
 	opts := autotune.DefaultOptions()
 	opts.Budget = budget
 	opts.Patience = 0
@@ -56,7 +57,9 @@ func main() {
 		}
 		entries = append(entries, entry{name, tr})
 	}
-	run("ATE (pruned)", func() (*autotune.Trace, error) { return autotune.Tune(pruned, measure, opts) })
+	run("ATE (pruned)", func() (*autotune.Trace, error) {
+		return autotune.Tune(context.Background(), pruned, autotune.LiftMeasurer(measure), nil, opts)
+	})
 	run("SA (full)", func() (*autotune.Trace, error) { return autotune.SimulatedAnnealing(full, measure, opts) })
 	run("GA (full)", func() (*autotune.Trace, error) { return autotune.GeneticAlgorithm(full, measure, opts) })
 	run("random (full)", func() (*autotune.Trace, error) { return autotune.RandomSearch(full, measure, opts) })

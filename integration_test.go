@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"encoding/json"
 	"path/filepath"
 	"strings"
@@ -40,10 +41,12 @@ func TestFullPipeline(t *testing.T) {
 	}
 	opts := autotune.DefaultOptions()
 	opts.Budget = 48
-	cfg, m, err := autotune.TuneCached(cache, sp, autotune.DirectMeasurer(arch, layer), opts)
+	measure := autotune.LiftMeasurer(autotune.KindMeasurer(arch, layer, autotune.Direct))
+	tr, err := autotune.Tune(context.Background(), sp, measure, cache, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg, m := tr.Best, tr.BestM
 	path := filepath.Join(t.TempDir(), "cache.json")
 	if err := cache.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -52,15 +55,15 @@ func TestFullPipeline(t *testing.T) {
 	if err := reloaded.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	cfg2, m2, err := autotune.TuneCached(reloaded, sp, func(Config) (autotune.Measurement, bool) {
+	tr2, err := autotune.Tune(context.Background(), sp, func(Config) (autotune.Measurement, bool, error) {
 		t.Fatal("cache miss after reload")
-		return autotune.Measurement{}, false
-	}, opts)
+		return autotune.Measurement{}, false, nil
+	}, reloaded, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg2 != cfg || m2 != m {
-		t.Fatalf("cache round trip changed the verdict: %v vs %v", cfg2, cfg)
+	if tr2.Best != cfg || tr2.BestM != m {
+		t.Fatalf("cache round trip changed the verdict: %v vs %v", tr2.Best, cfg)
 	}
 
 	// 3. Emit the schedule.

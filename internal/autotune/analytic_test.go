@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -191,7 +192,7 @@ func TestCalibrateAnalytic(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Budget = 24
-	tr, err := Tune(sp, NewMemoMeasure(arch, s, Direct).Measure, opts)
+	tr, err := Tune(context.Background(), sp, LiftMeasurer(NewMemoMeasure(arch, s, Direct).Measure), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

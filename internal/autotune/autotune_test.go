@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -164,8 +165,8 @@ func smallOpts(budget int, seed int64) Options {
 
 func TestTuneFindsGoodConfig(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
-	tr, err := Tune(sp, measure, smallOpts(60, 1))
+	measure := KindMeasurer(arch, layer(), Direct)
+	tr, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, smallOpts(60, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestTuneFindsGoodConfig(t *testing.T) {
 	var tuned, random float64
 	const seeds = 3
 	for seed := int64(20); seed < 20+seeds; seed++ {
-		tt, err := Tune(sp, measure, smallOpts(60, seed))
+		tt, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, smallOpts(60, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +206,7 @@ func TestTuneFindsGoodConfig(t *testing.T) {
 
 func TestAllStrategiesRun(t *testing.T) {
 	sp := mustSpace(t, false)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	for name, run := range map[string]func(*Space, Measurer, Options) (*Trace, error){
 		"random": RandomSearch,
 		"sa":     SimulatedAnnealing,
@@ -228,12 +229,12 @@ func TestAllStrategiesRun(t *testing.T) {
 
 func TestTuneDeterministic(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
-	a, err := Tune(sp, measure, smallOpts(40, 7))
+	measure := KindMeasurer(arch, layer(), Direct)
+	a, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, smallOpts(40, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Tune(sp, measure, smallOpts(40, 7))
+	b, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, smallOpts(40, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +274,10 @@ func TestMinDeltaPatience(t *testing.T) {
 
 func TestPatienceStopsEarly(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	opts := smallOpts(500, 8)
 	opts.Patience = 20
-	tr, err := Tune(sp, measure, opts)
+	tr, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,17 +292,17 @@ func TestPatienceStopsEarly(t *testing.T) {
 func TestPrunedConvergesFaster(t *testing.T) {
 	full := mustSpace(t, false)
 	pruned := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	// Average over seeds to avoid flakiness; "converged" = first measurement
 	// reaching 95% of the lower of the two final bests.
 	var fullAt, prunedAt, fullBest, prunedBest float64
 	const seeds = 3
 	for seed := int64(0); seed < seeds; seed++ {
-		f, err := Tune(full, measure, smallOpts(80, 10+seed))
+		f, err := Tune(context.Background(), full, LiftMeasurer(measure), nil, smallOpts(80, 10+seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := Tune(pruned, measure, smallOpts(80, 10+seed))
+		p, err := Tune(context.Background(), pruned, LiftMeasurer(measure), nil, smallOpts(80, 10+seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ import (
 // Beyond the verdict, an entry can carry the search's engine state — the
 // full measurement history and convergence curve (PutTrace). A state-
 // carrying entry lets a later run resume the search at a higher budget
-// without repeating a single measurement (TuneResumed), and lets
+// without repeating a single measurement (Tune with a cache), and lets
 // TuneNetwork rebuild its cross-layer transfer pool from a loaded file.
 type Cache struct {
 	shards [cacheShards]cacheShard
@@ -67,12 +67,9 @@ type cacheShard struct {
 
 // flightCall is one in-progress tuning run other goroutines can wait on.
 type flightCall struct {
-	done    chan struct{}
-	cfg     conv.Config
-	m       Measurement
-	hist    []MeasuredConfig
-	partial bool
-	err     error
+	done chan struct{}
+	tr   *Trace
+	err  error
 }
 
 // CacheEntry is one persisted tuning outcome. Rows and Curve are the
@@ -170,6 +167,12 @@ func (cc cachedConfig) config() conv.Config {
 		Layout:         tensor.Layout(cc.Layout),
 		WinogradE:      cc.WinogradE,
 	}
+}
+
+// verdict is an entry's tuning outcome: the best configuration and its
+// measurement.
+func (e CacheEntry) verdict() (conv.Config, Measurement) {
+	return e.Config.config(), Measurement{Seconds: e.Seconds, GFLOPS: e.GFLOPS}
 }
 
 // history decodes an entry's persisted rows into the engine's record type.
@@ -337,7 +340,7 @@ func (c *Cache) Put(archName string, kind Kind, s shapes.ConvShape, cfg conv.Con
 
 // PutTrace stores a tuning outcome together with its engine state: the
 // full measurement history and convergence curve. A state-carrying entry
-// can be resumed at a higher budget (TuneResumed) and contributes to
+// can be resumed at a higher budget (Tune with a cache) and contributes to
 // TuneNetwork's transfer pool when the cache is reloaded.
 func (c *Cache) PutTrace(archName string, kind Kind, s shapes.ConvShape, tr *Trace) {
 	e := CacheEntry{
@@ -367,7 +370,8 @@ func (c *Cache) Get(archName string, kind Kind, s shapes.ConvShape) (conv.Config
 	if !ok {
 		return conv.Config{}, Measurement{}, false
 	}
-	return e.Config.config(), Measurement{Seconds: e.Seconds, GFLOPS: e.GFLOPS}, true
+	cfg, m := e.verdict()
+	return cfg, m, true
 }
 
 // State retrieves a cached entry's persisted engine state: the measurement
@@ -764,54 +768,23 @@ func salvageEntries(data []byte) []CacheEntry {
 	return out
 }
 
-// TuneCached returns the cached best for (arch, kind, shape) or runs the
-// engine and caches its verdict (with engine state, so the search can be
-// resumed or transferred from later). Concurrent callers with the same key
-// share one search.
-func TuneCached(cache *Cache, sp *Space, measure Measurer, opts Options) (conv.Config, Measurement, error) {
-	cfg, m, _, _, _, err := tuneShared(context.Background(), cache, sp, liftMeasurer(measure), opts, false)
-	return cfg, m, err
+// trace synthesizes the trace of a cached search that covers a request:
+// the persisted verdict, curve and history, nothing re-measured.
+func (e CacheEntry) trace() *Trace {
+	tr := &Trace{Method: "ate", Curve: append([]float64(nil), e.Curve...),
+		Measurements: len(e.Rows), History: e.history(), Budget: e.Budget}
+	tr.Best, tr.BestM = e.verdict()
+	tr.ConvergedAt = convergedAt(tr.Curve)
+	return tr
 }
 
-// TuneResumed continues a cached search at a higher budget: the persisted
-// measurement history replays into a fresh engine run — zero measurements
-// are repeated — and the grown state is written back. A covered request
-// returns the cached outcome as a synthesized trace without any
-// measuring: the persisted search already ran with at least opts.Budget
-// (even if patience retired it below that, re-running would only re-prove
-// staleness), or the entry is verdict-only with nothing to continue from.
-// Concurrent TuneResumed calls for one key are not flight-deduplicated
-// (the single-caller CLI seam); racing writers last-write-win and a later
-// resume of an overwritten entry simply re-enters.
-func TuneResumed(cache *Cache, sp *Space, measure Measurer, opts Options) (*Trace, error) {
-	opts = opts.normalized()
-	if e, ok := cache.getEntry(sp.Arch.Name, sp.Kind, sp.Shape); ok {
-		hist, covered := resumeCoverage(e, opts.Budget)
-		if covered {
-			tr := &Trace{Method: "ate", Best: e.Config.config(),
-				BestM:        Measurement{Seconds: e.Seconds, GFLOPS: e.GFLOPS},
-				Curve:        append([]float64(nil), e.Curve...),
-				Measurements: len(e.Rows), History: e.history(), Budget: e.Budget}
-			tr.ConvergedAt = convergedAt(tr.Curve)
-			return tr, nil
-		}
-		opts = withHistory(opts, hist)
-	}
-	tr, err := Tune(sp, measure, opts)
-	if err != nil {
-		return nil, err
-	}
-	cache.PutTrace(sp.Arch.Name, sp.Kind, sp.Shape, tr)
-	return tr, nil
-}
-
-// resumeCoverage is the single resume-coverage predicate (shared by
-// TuneResumed and tuneShared so the CLI and network paths cannot drift):
-// a cached entry covers a resume request at budget when the persisted
-// search already ran with at least that budget — even if patience stopped
-// it early — or when the entry is verdict-only, leaving nothing to
-// continue from. Only an uncovered request pays for decoding the rows; the
-// returned history feeds the replay.
+// resumeCoverage is the resume-coverage predicate of tuneShared and of the
+// network lookup pass (lookupNetwork): a cached entry covers a resume
+// request at budget when the persisted search already ran with at least
+// that budget — even if patience stopped it early — or when the entry is
+// verdict-only, leaving nothing to continue from. Only an uncovered
+// request pays for decoding the rows; the returned history feeds the
+// replay.
 func resumeCoverage(e CacheEntry, budget int) ([]MeasuredConfig, bool) {
 	persisted := e.Budget
 	if persisted < len(e.Rows) {
@@ -847,57 +820,52 @@ func convergedAt(curve []float64) int {
 	return at
 }
 
-// tuneShared is the work-sharing core of TuneCached, TuneResumed's
-// network-level counterpart and TuneNetwork: satisfy the request from the
-// cache, join an identical in-flight search, or run the engine and persist
-// the trace. shared reports whether the verdict came without running a
-// search here; hist is the measurement history when one is in hand — a
-// search ran here (or was joined in flight), or a resume request decoded
-// the persisted rows — and nil on plain cache hits, which stay
-// allocation-light. With resume set, a state-carrying cache entry whose
-// history is shorter than opts.Budget re-enters the engine warm instead
-// of short-circuiting. partial reports a search cut short by ctx (joined
-// waiters inherit the flag along with the verdict); the truncated trace is
+// tuneShared is the work-sharing core of Tune with a cache and of
+// TuneNetwork: satisfy the request from the cache, join an identical
+// in-flight search, or run the engine and persist the trace. A request the
+// cache answers returns the entry with a nil trace: a plain hit decodes no
+// rows and builds no trace, staying allocation-light — the transfer pool
+// reads the cache's state entries directly (prime), not this seam.
+// Otherwise tr is the trace of the search run here or joined in flight, and
+// shared reports the latter. With resume set, a state-carrying entry whose
+// persisted search is shorter than opts.Budget (resumeCoverage) re-enters
+// the engine warm — its decoded rows replay — instead of answering. A
+// search cut short by ctx (tr.Partial, which joined waiters inherit) is
 // still persisted — at its honest budget — so a repeat resume request
 // continues it.
-func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMeasurer, opts Options, resume bool) (conv.Config, Measurement, bool, []MeasuredConfig, bool, error) {
+func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMeasurer, opts Options, resume bool) (e CacheEntry, tr *Trace, shared bool, err error) {
 	opts = opts.normalized()
-	// satisfied reports whether a looked-up entry alone answers this
-	// request. The persisted rows are decoded only on the resume path
-	// (where they decide coverage and feed the replay); a plain hit stays
-	// allocation-light and returns no history — the transfer pool reads the
-	// cache's state entries directly (prime), not this seam.
 	var resumeHist []MeasuredConfig
-	satisfied := func(e CacheEntry, ok bool) (conv.Config, Measurement, []MeasuredConfig, bool) {
+	answers := func(e CacheEntry, ok bool) bool {
 		if !ok {
-			return conv.Config{}, Measurement{}, nil, false
+			return false
 		}
 		if resume {
 			hist, covered := resumeCoverage(e, opts.Budget)
 			if !covered {
 				resumeHist = hist
-				return conv.Config{}, Measurement{}, nil, false
+				return false
 			}
 		}
-		return e.Config.config(), Measurement{Seconds: e.Seconds, GFLOPS: e.GFLOPS}, nil, true
+		return true
 	}
-	if cfg, m, hist, ok := satisfied(cache.getEntry(sp.Arch.Name, sp.Kind, sp.Shape)); ok {
-		return cfg, m, true, hist, false, nil
+	if e, ok := cache.getEntry(sp.Arch.Name, sp.Kind, sp.Shape); answers(e, ok) {
+		return e, nil, true, nil
 	}
 	key := cacheKey(sp.Arch.Name, sp.Kind, sp.Shape)
 	cache.flightMu.Lock()
 	if call, ok := cache.flight[key]; ok {
 		cache.flightMu.Unlock()
 		<-call.done
-		return call.cfg, call.m, true, call.hist, call.partial, call.err
+		return CacheEntry{}, call.tr, true, call.err
 	}
 	// Re-check under the flight lock: a racing search may have completed —
 	// Put then delete its flight entry — between the check above and here.
 	// The check above already booked this lookup's miss, so the re-check
 	// peeks without counting.
-	if cfg, m, hist, ok := satisfied(cache.Entry(sp.Arch.Name, sp.Kind, sp.Shape)); ok {
+	if e, ok := cache.Entry(sp.Arch.Name, sp.Kind, sp.Shape); answers(e, ok) {
 		cache.flightMu.Unlock()
-		return cfg, m, true, hist, false, nil
+		return e, nil, true, nil
 	}
 	call := &flightCall{done: make(chan struct{})}
 	cache.flight[key] = call
@@ -906,15 +874,13 @@ func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMe
 	if len(resumeHist) > 0 {
 		opts = withHistory(opts, resumeHist)
 	}
-	tr, err := tuneFallible(ctx, sp, measure, opts)
-	if err == nil {
-		call.cfg, call.m, call.hist, call.partial = tr.Best, tr.BestM, tr.History, tr.Partial
-		cache.PutTrace(sp.Arch.Name, sp.Kind, sp.Shape, tr)
+	call.tr, call.err = Tune(ctx, sp, measure, nil, opts)
+	if call.err == nil {
+		cache.PutTrace(sp.Arch.Name, sp.Kind, sp.Shape, call.tr)
 	}
-	call.err = err
 	close(call.done)
 	cache.flightMu.Lock()
 	delete(cache.flight, key)
 	cache.flightMu.Unlock()
-	return call.cfg, call.m, false, call.hist, call.partial, err
+	return CacheEntry{}, call.tr, false, call.err
 }

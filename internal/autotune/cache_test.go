@@ -2,10 +2,14 @@ package autotune
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/conv"
 	"repro/internal/shapes"
@@ -319,13 +323,14 @@ func TestCacheFileRoundTrip(t *testing.T) {
 func TestTuneCached(t *testing.T) {
 	c := NewCache()
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	calls := 0
-	counting := func(cfg conv.Config) (Measurement, bool) {
+	counting := func(cfg conv.Config) (Measurement, bool, error) {
 		calls++
-		return measure(cfg)
+		m, ok := measure(cfg)
+		return m, ok, nil
 	}
-	cfg1, m1, err := TuneCached(c, sp, counting, smallOpts(24, 5))
+	tr1, err := Tune(context.Background(), sp, counting, c, smallOpts(24, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,15 +338,87 @@ func TestTuneCached(t *testing.T) {
 		t.Fatal("no measurements on cold cache")
 	}
 	callsAfterTune := calls
-	cfg2, m2, err := TuneCached(c, sp, counting, smallOpts(24, 5))
+	tr2, err := Tune(context.Background(), sp, counting, c, smallOpts(24, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls != callsAfterTune {
 		t.Error("cache hit still measured")
 	}
-	if cfg1 != cfg2 || m1 != m2 {
+	if tr1.Best != tr2.Best || tr1.BestM != tr2.BestM {
 		t.Error("cache returned a different verdict")
+	}
+}
+
+// Two concurrent cached Tune calls on one cold key run one search: the
+// second joins the first's flight (or, arriving after it finished, is
+// covered by its persisted trace), so the measurer sees one search's
+// measurements, not two.
+func TestTuneCachedJoinsInFlightSearch(t *testing.T) {
+	c := NewCache()
+	measure := KindMeasurer(arch, layer(), Direct)
+	var calls atomic.Int64
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	gated := func(cfg conv.Config) (Measurement, bool, error) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+		calls.Add(1)
+		m, ok := measure(cfg)
+		return m, ok, nil
+	}
+	var wg sync.WaitGroup
+	traces := make([]*Trace, 2)
+	errs := make([]error, 2)
+	for i := range traces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			traces[i], errs[i] = Tune(context.Background(), mustSpace(t, true), gated, c, smallOpts(24, 5))
+		}()
+	}
+	// Hold the first search inside its first measurement long enough for
+	// the other call to reach the flight table.
+	<-entered
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := calls.Load(), int64(traces[0].Measurements); got != want {
+		t.Errorf("two concurrent cached calls measured %d configs, want one search's %d", got, want)
+	}
+	if traces[0].Best != traces[1].Best || traces[0].BestM != traces[1].BestM {
+		t.Errorf("joined call's verdict %v differs from the search's %v", traces[1].Best, traces[0].Best)
+	}
+}
+
+// A verdict-only entry (Put, no engine state) covers a cached Tune at any
+// budget: there is nothing to resume from, so the verdict returns as a
+// synthesized trace without a measurement.
+func TestTuneCachedVerdictOnlyIsCovered(t *testing.T) {
+	c := NewCache()
+	cfg := conv.Config{TileX: 9, TileY: 3, TileZ: 8, ThreadsX: 3, ThreadsY: 3, ThreadsZ: 2,
+		SharedPerBlock: 4096}
+	m := Measurement{Seconds: 1.5e-4, GFLOPS: 1234}
+	c.Put(arch.Name, Direct, layer(), cfg, m)
+	counting, calls := countRepeats(t, KindMeasurer(arch, layer(), Direct), nil)
+	tr, err := Tune(context.Background(), mustSpace(t, true), LiftMeasurer(counting), c, smallOpts(64, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *calls != 0 {
+		t.Errorf("verdict-only entry still measured %d configs", *calls)
+	}
+	if tr.Best != cfg || tr.BestM != m || tr.Measurements != 0 {
+		t.Errorf("synthesized trace %v %v (%d measurements), want the cached verdict %v %v",
+			tr.Best, tr.BestM, tr.Measurements, cfg, m)
 	}
 }
 
@@ -367,7 +444,7 @@ func TestEmitSchedule(t *testing.T) {
 
 func TestFeatureImportance(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	// Train a model from real measurements.
 	var feats [][]float64
 	var costs []float64

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,19 +32,22 @@ func engineBenchLayer() shapes.ConvShape {
 func BenchmarkTuneEngine(b *testing.B) {
 	arch := memsim.V100
 	s := engineBenchLayer()
-	measure := DirectMeasurer(arch, s) // shared memo: measurements are free after round one
+	measure := KindMeasurer(arch, s, Direct) // shared memo: measurements are free after round one
 	opts := DefaultOptions()
 	opts.Budget = 192
 	opts.Patience = 0
 	opts.Seed = 1
 
+	tune := func(sp *Space, m Measurer, o Options) (*Trace, error) {
+		return Tune(context.Background(), sp, LiftMeasurer(m), nil, o)
+	}
 	variants := []struct {
 		name string
 		run  func(*Space, Measurer, Options) (*Trace, error)
 		mod  func(*Options)
 	}{
-		{"current", Tune, func(*Options) {}},
-		{"noprune", Tune, func(o *Options) { o.NoPrune = true }},
+		{"current", tune, func(*Options) {}},
+		{"noprune", tune, func(o *Options) { o.NoPrune = true }},
 		{"prePR", legacyTune, func(*Options) {}},
 	}
 	for _, v := range variants {
@@ -126,7 +130,7 @@ func benchRows(n int, seed int64) ([][]float64, []float64) {
 	if err != nil {
 		panic(err)
 	}
-	measure := DirectMeasurer(arch, s)
+	measure := KindMeasurer(arch, s, Direct)
 	rng := rand.New(rand.NewSource(seed))
 	var x [][]float64
 	var y []float64

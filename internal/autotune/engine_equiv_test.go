@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/memsim"
@@ -15,7 +16,7 @@ import (
 func TestEngineMatchesLegacyVerdict(t *testing.T) {
 	a := memsim.V100
 	s := engineBenchLayer()
-	measure := DirectMeasurer(a, s)
+	measure := KindMeasurer(a, s, Direct)
 	cases := []struct {
 		budget int
 		seed   int64
@@ -38,7 +39,7 @@ func TestEngineMatchesLegacyVerdict(t *testing.T) {
 			for _, noPrune := range []bool{false, true} {
 				oo := o
 				oo.NoPrune = noPrune
-				cur, err := Tune(sp, measure, oo)
+				cur, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, oo)
 				if err != nil {
 					t.Fatal(err)
 				}

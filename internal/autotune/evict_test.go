@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -163,11 +164,11 @@ func TestEvictedKeyRetunesIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := DirectMeasurer(arch, shape)
+	measure := LiftMeasurer(KindMeasurer(arch, shape, Direct))
 
 	c := NewCache()
 	c.SetEviction(EvictionPolicy{MaxEntries: 4})
-	cfg1, m1, err := TuneCached(c, sp, measure, opts)
+	tr1, err := Tune(context.Background(), sp, measure, c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +181,11 @@ func TestEvictedKeyRetunesIdentically(t *testing.T) {
 		t.Fatal("tuned key survived the filler flood; eviction untested")
 	}
 
-	cfg2, m2, err := TuneCached(c, sp, measure, opts)
+	tr2, err := Tune(context.Background(), sp, measure, c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg1 != cfg2 || m1 != m2 {
-		t.Errorf("re-tuned verdict differs: (%+v, %+v) != (%+v, %+v)", cfg2, m2, cfg1, m1)
+	if tr1.Best != tr2.Best || tr1.BestM != tr2.BestM {
+		t.Errorf("re-tuned verdict differs: (%+v, %+v) != (%+v, %+v)", tr2.Best, tr2.BestM, tr1.Best, tr1.BestM)
 	}
 }

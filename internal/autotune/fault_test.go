@@ -44,18 +44,19 @@ func (f *flakyMeasurer) measure(c conv.Config) (Measurement, bool, error) {
 }
 
 // The zero RetryPolicy with an error-free measurer is the documented
-// bit-identical default path: TuneFallible over a lifted measurer must
-// produce the exact trace Tune does, new counters included (all zero).
+// bit-identical default path: Tune over a hand-written error-free
+// fallible measurer must produce the exact trace it does over
+// LiftMeasurer, new counters included (all zero).
 func TestFallibleZeroPolicyBitIdentical(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
-	want, err := Tune(sp, measure, smallOpts(60, 1))
+	measure := KindMeasurer(arch, layer(), Direct)
+	want, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, smallOpts(60, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TuneFallible(context.Background(), sp,
+	got, err := Tune(context.Background(), sp,
 		func(c conv.Config) (Measurement, bool, error) { m, ok := measure(c); return m, ok, nil },
-		smallOpts(60, 1))
+		nil, smallOpts(60, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +74,8 @@ func TestFallibleZeroPolicyBitIdentical(t *testing.T) {
 // once per retry.
 func TestRetryAbsorbsTransientFailures(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
-	clean, err := Tune(sp, measure, smallOpts(60, 1))
+	measure := KindMeasurer(arch, layer(), Direct)
+	clean, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, smallOpts(60, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestRetryAbsorbsTransientFailures(t *testing.T) {
 	opts.Retry = RetryPolicy{MaxAttempts: 3}
 	var hookRetries int
 	opts.OnRetry = func() { hookRetries++ }
-	tr, err := TuneFallible(context.Background(), sp, flaky.measure, opts)
+	tr, err := Tune(context.Background(), sp, flaky.measure, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestRetryAbsorbsTransientFailures(t *testing.T) {
 // remaining ones; the OnQuarantine hook counts them.
 func TestQuarantinePermanentFailures(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	// Deterministic subset of permanently-dead configs, interleaving-free.
 	dead := func(c conv.Config) bool { return ConfigHash(99, c, 0)%4 == 0 }
 	backend := func(c conv.Config) (Measurement, bool, error) {
@@ -126,7 +127,7 @@ func TestQuarantinePermanentFailures(t *testing.T) {
 	opts.Retry = RetryPolicy{MaxAttempts: 2}
 	var hookQuarantines int
 	opts.OnQuarantine = func() { hookQuarantines++ }
-	tr, err := TuneFallible(context.Background(), sp, backend, opts)
+	tr, err := Tune(context.Background(), sp, backend, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +164,9 @@ func TestAllQuarantinedIsAnError(t *testing.T) {
 	sp := mustSpace(t, true)
 	opts := smallOpts(20, 1)
 	opts.Retry = RetryPolicy{MaxAttempts: 2}
-	_, err := TuneFallible(context.Background(), sp,
+	_, err := Tune(context.Background(), sp,
 		func(conv.Config) (Measurement, bool, error) { return Measurement{}, false, errTransient },
-		opts)
+		nil, opts)
 	if err == nil {
 		t.Fatal("fully-dead backend produced a verdict")
 	}
@@ -177,7 +178,7 @@ func TestAllQuarantinedIsAnError(t *testing.T) {
 // from the floor costs exactly one call.
 func TestNoiseDefenseTakesMedian(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	// Find a valid config and its true reading.
 	var cfg conv.Config
 	var truth Measurement
@@ -235,11 +236,11 @@ func TestNoiseDefenseTakesMedian(t *testing.T) {
 // the partial history without re-measuring, then completes.
 func TestContextCancelYieldsResumablePartial(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // expired before the first batch
 	opts := smallOpts(60, 3)
-	tr, err := TuneContext(ctx, sp, measure, opts)
+	tr, err := Tune(ctx, sp, LiftMeasurer(measure), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestContextCancelYieldsResumablePartial(t *testing.T) {
 	resumed.Warm = &WarmStart{History: tr.History}
 	fresh := 0
 	resumed.OnMeasure = func() { fresh++ }
-	tr2, err := Tune(sp, measure, resumed)
+	tr2, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,13 +284,13 @@ func TestContextCancelYieldsResumablePartial(t *testing.T) {
 // cancelled batch books a contiguous prefix in submission order.
 func TestPartialTraceWorkerInvariant(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	run := func(workers int) *Trace {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		opts := smallOpts(60, 5)
 		opts.Workers = workers
-		tr, err := TuneContext(ctx, sp, measure, opts)
+		tr, err := Tune(ctx, sp, LiftMeasurer(measure), nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

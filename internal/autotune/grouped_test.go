@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -119,7 +120,7 @@ func TestDepthwiseTunedFlopsAreOneOverG(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := Tune(sp, DirectMeasurer(arch, tc.s), smallOpts(32, 5))
+		tr, err := Tune(context.Background(), sp, LiftMeasurer(KindMeasurer(arch, tc.s, Direct)), nil, smallOpts(32, 5))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func (p *probe) opts(o NetworkOptions) NetworkOptions {
 	o.Tune.OnMeasure = func() { p.measured.Add(1) }
 	o.WrapMeasurer = func(_ Kind, _ shapes.ConvShape, m Measurer) FallibleMeasurer {
 		p.wrapped.Add(1)
-		return liftMeasurer(m)
+		return LiftMeasurer(m)
 	}
 	return o
 }

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -161,11 +162,11 @@ func TestTuneWithMemoBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		memoTrace, err := Tune(sp, NewMemoMeasure(arch, s, kind).Measure, opts)
+		memoTrace, err := Tune(context.Background(), sp, LiftMeasurer(NewMemoMeasure(arch, s, kind).Measure), nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rawTrace, err := Tune(sp, unmemoizedMeasurer(arch, s, kind), opts)
+		rawTrace, err := Tune(context.Background(), sp, LiftMeasurer(unmemoizedMeasurer(arch, s, kind)), nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

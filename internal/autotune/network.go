@@ -394,11 +394,17 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 			if pool != nil {
 				to.Warm = pool.warmFor(familyOf(t.kind, t.shape))
 			}
-			measure := liftMeasurer(t.measure)
+			measure := LiftMeasurer(t.measure)
 			if opts.WrapMeasurer != nil {
 				measure = opts.WrapMeasurer(t.kind, t.shape, t.measure)
 			}
-			t.cfg, t.m, t.shared, t.hist, t.partial, t.err = tuneShared(ctx, cache, t.sp, measure, to, opts.Resume)
+			e, tr, shared, err := tuneShared(ctx, cache, t.sp, measure, to, opts.Resume)
+			t.shared, t.err = shared, err
+			if tr != nil {
+				t.cfg, t.m, t.hist, t.partial = tr.Best, tr.BestM, tr.History, tr.Partial
+			} else {
+				t.cfg, t.m = e.verdict()
+			}
 		})
 	}
 

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -14,12 +15,12 @@ import (
 // point) whether the batch is measured by 1 goroutine or 8.
 func TestTuneWorkersDeterministic(t *testing.T) {
 	s := layer()
-	measure := DirectMeasurer(arch, s)
+	measure := KindMeasurer(arch, s, Direct)
 	run := func(workers int) *Trace {
 		sp := mustSpace(t, true)
 		opts := smallOpts(64, 7)
 		opts.Workers = workers
-		tr, err := Tune(sp, measure, opts)
+		tr, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -159,7 +160,7 @@ func TestMeasureAllOrdering(t *testing.T) {
 		cfgs = append(cfgs, c)
 		return len(cfgs) < 50
 	})
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	serial := measureAll(measure, cfgs, 1, 0)
 	fanned := measureAll(measure, cfgs, 8, 0)
 	if !reflect.DeepEqual(serial, fanned) {

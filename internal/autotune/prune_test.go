@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -139,11 +140,11 @@ func TestTunePrunesCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := DirectMeasurer(arch, s)
+	measure := KindMeasurer(arch, s, Direct)
 	opts := DefaultOptions()
 	opts.Budget = 96
 	opts.Patience = 32
-	tr, err := Tune(sp, measure, opts)
+	tr, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestTunePrunesCandidates(t *testing.T) {
 		t.Error("default Tune pruned nothing on a layer where the bound bites")
 	}
 	opts.NoPrune = true
-	off, err := Tune(sp, measure, opts)
+	off, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,18 +189,18 @@ func traceEqual(a, b *Trace) bool {
 // runs, with pruning enabled and disabled — including the Pruned counter.
 func TestTuneDeterministicAcrossWorkers(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	for _, noPrune := range []bool{false, true} {
 		opts := smallOpts(60, 11)
 		opts.NoPrune = noPrune
-		ref, err := Tune(sp, measure, opts)
+		ref, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4, 9} {
 			o := opts
 			o.Workers = workers
-			tr, err := Tune(sp, measure, o)
+			tr, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, o)
 			if err != nil {
 				t.Fatal(err)
 			}

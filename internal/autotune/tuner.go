@@ -24,23 +24,11 @@ type Measurement struct {
 // measurements).
 type Measurer func(conv.Config) (Measurement, bool)
 
-// DirectMeasurer measures configs with the Section 5.2 dataflow on arch
-// (dry: exact counts, no data). The returned Measurer carries its own
+// KindMeasurer measures configs with the dataflow of an algorithm kind on
+// arch (dry: exact counts, no data). The returned Measurer carries its own
 // counts memo (see MemoMeasure): repeated evaluations of configs sharing a
-// tile are O(1) lookups, with results bit-identical to conv.DirectTiledDry.
-func DirectMeasurer(arch memsim.Arch, s shapes.ConvShape) Measurer {
-	return NewMemoMeasure(arch, s, Direct).Measure
-}
-
-// WinogradMeasurer measures configs with the Section 5.3 fused Winograd
-// dataflow on arch, memoized like DirectMeasurer.
-func WinogradMeasurer(arch memsim.Arch, s shapes.ConvShape) Measurer {
-	return NewMemoMeasure(arch, s, Winograd).Measure
-}
-
-// KindMeasurer measures configs with the dataflow of any algorithm kind,
-// memoized like DirectMeasurer. It is the generic constructor behind the
-// per-kind helpers and the network tuner's per-layer kernel choice.
+// tile are O(1) lookups, with results bit-identical to the kind's dry
+// evaluator (e.g. conv.DirectTiledDry).
 func KindMeasurer(arch memsim.Arch, s shapes.ConvShape, kind Kind) Measurer {
 	return NewMemoMeasure(arch, s, kind).Measure
 }
@@ -266,6 +254,30 @@ func (r *record) stale(patience int) bool {
 // executor (opts.Workers goroutines); outcomes are recorded in submission
 // order, so the run is deterministic for a fixed seed at any worker count.
 //
+// ctx bounds the run: when it is cancelled or its deadline passes, the
+// engine stops claiming new measurements (in-flight ones finish — a device
+// run cannot be recalled) and returns the best-so-far verdict with
+// Trace.Partial set instead of an error, provided at least one valid
+// configuration measured. The Section 5 seed configurations are always
+// measured, even under an already-expired context, so any run over a space
+// with valid seeds produces a verdict.
+//
+// measure is the error-aware measurement seam: it may report transient
+// failures, which the engine retries, backs off and quarantines per
+// opts.Retry (see FallibleMeasurer and RetryPolicy). LiftMeasurer adapts a
+// plain Measurer such as KindMeasurer's.
+//
+// With a non-nil cache the search is cached and resumable: a cached entry
+// that covers opts.Budget (the persisted search already ran at least that
+// budget, or the entry is verdict-only with nothing to continue from) is
+// returned as a synthesized trace without measuring anything; a shorter
+// persisted history replays into the engine — no measurement is repeated —
+// and the search continues with the remaining budget; a miss runs the
+// search. Either way the grown trace is written back (Cache.PutTrace), and
+// a concurrent call for the same (arch, kind, shape) key joins the search
+// already in flight instead of running its own; a joined call returns the
+// same *Trace as the call that ran it, which callers must not modify.
+//
 // Three things keep the engine's own machinery off the critical path:
 //
 //   - Bound-guided pruning (unless opts.NoPrune): the I/O-lower-bound
@@ -278,43 +290,27 @@ func (r *record) stale(patience int) bool {
 //     Trace.Pruned. Because the bound is a true floor on every
 //     measurement, pruning can never discard a configuration that would
 //     have improved the verdict.
-//
-// A non-nil opts.Warm transfers state from related searches: prior model
-// rows fit the initial cost model, transferred incumbent configs are
-// snapped into the space and measured first (replacing most of the cold
-// start's random guesses), and a persisted history replays without
-// re-measuring so a cached search resumes at a higher budget. With
-// opts.Warm nil the engine is bit-identical to the cold path.
 //   - Warm-started cost model: the GBT forest is kept across iterations
 //     and refit incrementally (GBTModel.Update) on the grown dataset, with
 //     a full retrain only when the forest would exceed its size cap.
 //   - Heap-based ranking: walker proposals and the best-measured set are
 //     maintained by bounded max-heaps with recycled backing arrays
 //     instead of full sorts.
-func Tune(sp *Space, measure Measurer, opts Options) (*Trace, error) {
-	return TuneContext(context.Background(), sp, measure, opts)
-}
-
-// TuneContext is Tune bounded by a context: when ctx is cancelled or its
-// deadline passes, the run stops claiming new measurements (in-flight ones
-// finish — a device run cannot be recalled) and returns the best-so-far
-// verdict with Trace.Partial set instead of an error, provided at least one
-// valid configuration measured. The Section 5 seed configurations are
-// always measured, even under an already-expired context, so any run over a
-// space with valid seeds produces a verdict.
-func TuneContext(ctx context.Context, sp *Space, measure Measurer, opts Options) (*Trace, error) {
-	return tuneFallible(ctx, sp, liftMeasurer(measure), opts)
-}
-
-// TuneFallible is TuneContext over the error-aware measurement seam: the
-// measurer may report transient failures, which the engine retries,
-// backs off and quarantines per opts.Retry. See FallibleMeasurer and
-// RetryPolicy.
-func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts Options) (*Trace, error) {
-	return tuneFallible(ctx, sp, measure, opts)
-}
-
-func tuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts Options) (*Trace, error) {
+//
+// A non-nil opts.Warm transfers state from related searches: prior model
+// rows fit the initial cost model, transferred incumbent configs are
+// snapped into the space and measured first (replacing most of the cold
+// start's random guesses), and a persisted history replays without
+// re-measuring. With opts.Warm nil the engine is bit-identical to the cold
+// path.
+func Tune(ctx context.Context, sp *Space, measure FallibleMeasurer, cache *Cache, opts Options) (*Trace, error) {
+	if cache != nil {
+		e, tr, _, err := tuneShared(ctx, cache, sp, measure, opts, true)
+		if tr == nil && err == nil {
+			tr = e.trace()
+		}
+		return tr, err
+	}
 	opts = opts.normalized()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	rec := &record{trace: Trace{Method: "ate", Budget: opts.Budget}, minDelta: opts.MinDelta}

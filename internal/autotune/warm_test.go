@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -97,7 +98,7 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dtr, err := Tune(dsp, DirectMeasurer(arch, donor), smallOpts(32, 5))
+	dtr, err := Tune(context.Background(), dsp, LiftMeasurer(KindMeasurer(arch, donor, Direct)), nil, smallOpts(32, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,17 +110,17 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	opts := smallOpts(48, 11)
 	opts.Warm = warm
-	ref, err := Tune(sp, measure, opts)
+	ref, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, 9} {
 		o := opts
 		o.Workers = workers
-		tr, err := Tune(sp, measure, o)
+		tr, err := Tune(context.Background(), sp, LiftMeasurer(measure), nil, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +171,7 @@ func TestWarmPoolSeedCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dtr, err := Tune(dsp, DirectMeasurer(arch, donor), smallOpts(32, 5))
+	dtr, err := Tune(context.Background(), dsp, LiftMeasurer(KindMeasurer(arch, donor, Direct)), nil, smallOpts(32, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,15 +204,15 @@ func countRepeats(t *testing.T, inner Measurer, forbidden map[conv.Config]bool) 
 // the verdict can only improve.
 func TestResumeDoubledBudgetNoRemeasure(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	cache := NewCache()
-	cfg0, m0, err := TuneCached(cache, sp, measure, smallOpts(32, 5))
+	tr0, err := Tune(context.Background(), sp, LiftMeasurer(measure), cache, smallOpts(32, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	hist, curve, ok := cache.State(arch.Name, Direct, layer())
 	if !ok || len(hist) == 0 {
-		t.Fatal("TuneCached persisted no engine state")
+		t.Fatal("cached Tune persisted no engine state")
 	}
 	already := make(map[conv.Config]bool, len(hist))
 	for _, h := range hist {
@@ -219,7 +220,7 @@ func TestResumeDoubledBudgetNoRemeasure(t *testing.T) {
 	}
 
 	counting, calls := countRepeats(t, measure, already)
-	tr, err := TuneResumed(cache, sp, counting, smallOpts(64, 5))
+	tr, err := Tune(context.Background(), sp, LiftMeasurer(counting), cache, smallOpts(64, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,14 +238,14 @@ func TestResumeDoubledBudgetNoRemeasure(t *testing.T) {
 			t.Fatalf("resumed curve diverges from the original at %d", i)
 		}
 	}
-	if tr.BestM.Seconds > m0.Seconds {
+	if tr.BestM.Seconds > tr0.BestM.Seconds {
 		t.Errorf("resumed best %.6g worse than original %.6g (%v vs %v)",
-			tr.BestM.Seconds, m0.Seconds, tr.Best, cfg0)
+			tr.BestM.Seconds, tr0.BestM.Seconds, tr.Best, tr0.Best)
 	}
 	// The grown state persisted: resuming again under the same budget is
 	// satisfied from the cache without a single measurement.
 	counting2, calls2 := countRepeats(t, measure, nil)
-	tr2, err := TuneResumed(cache, sp, counting2, smallOpts(64, 5))
+	tr2, err := Tune(context.Background(), sp, LiftMeasurer(counting2), cache, smallOpts(64, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +262,11 @@ func TestResumeDoubledBudgetNoRemeasure(t *testing.T) {
 // measurements), not a repeated patience-burn.
 func TestResumeCoveredByPatienceStop(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	cache := NewCache()
 	opts := smallOpts(200, 5)
 	opts.Patience = 10
-	if _, _, err := TuneCached(cache, sp, measure, opts); err != nil {
+	if _, err := Tune(context.Background(), sp, LiftMeasurer(measure), cache, opts); err != nil {
 		t.Fatal(err)
 	}
 	hist, _, ok := cache.State(arch.Name, Direct, layer())
@@ -273,7 +274,7 @@ func TestResumeCoveredByPatienceStop(t *testing.T) {
 		t.Fatalf("setup: want a patience-stopped history below budget, got %d rows", len(hist))
 	}
 	counting, calls := countRepeats(t, measure, nil)
-	tr, err := TuneResumed(cache, sp, counting, opts)
+	tr, err := Tune(context.Background(), sp, LiftMeasurer(counting), cache, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/autotune"
@@ -119,7 +120,8 @@ func analyzeDirect(arch memsim.Arch, s shapes.ConvShape, opts Options) (*Algorit
 	topts := autotune.DefaultOptions()
 	topts.Budget = opts.Budget
 	topts.Seed = opts.Seed
-	tr, err := autotune.Tune(sp, autotune.DirectMeasurer(arch, s), topts)
+	measure := autotune.LiftMeasurer(autotune.KindMeasurer(arch, s, autotune.Direct))
+	tr, err := autotune.Tune(context.Background(), sp, measure, nil, topts)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +161,8 @@ func analyzeWinograd(arch memsim.Arch, s shapes.ConvShape, opts Options) (*Algor
 	topts := autotune.DefaultOptions()
 	topts.Budget = opts.Budget
 	topts.Seed = opts.Seed
-	tr, err := autotune.Tune(sp, autotune.WinogradMeasurer(arch, s), topts)
+	measure := autotune.LiftMeasurer(autotune.KindMeasurer(arch, s, autotune.Winograd))
+	tr, err := autotune.Tune(context.Background(), sp, measure, nil, topts)
 	if err != nil {
 		return nil, err
 	}

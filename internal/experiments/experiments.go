@@ -16,6 +16,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -71,38 +72,26 @@ func libraryDirect(arch memsim.Arch, s shapes.ConvShape) (*conv.Result, error) {
 	return col, nil
 }
 
-// tuneDirect tunes the Section 5.2 dataflow on the pruned searching domain
-// with the given measurer (pass nil for a fresh memoized one).
-func tuneDirect(arch memsim.Arch, s shapes.ConvShape, measure autotune.Measurer, budget int, seed int64) (*autotune.Trace, error) {
-	sp, err := autotune.NewSpace(s, arch, autotune.Direct, 0, true)
+// tuneKind tunes one kind's dataflow on its pruned searching domain (the
+// Section 5.2 direct dataflow, or the Section 5.3 fused Winograd one at
+// e = 2) with the given measurer (pass nil for a fresh memoized one).
+func tuneKind(arch memsim.Arch, s shapes.ConvShape, kind autotune.Kind, measure autotune.Measurer, budget int, seed int64) (*autotune.Trace, error) {
+	e := 0
+	if kind == autotune.Winograd {
+		e = 2
+	}
+	sp, err := autotune.NewSpace(s, arch, kind, e, true)
 	if err != nil {
 		return nil, err
 	}
 	if measure == nil {
-		measure = autotune.DirectMeasurer(arch, s)
+		measure = autotune.KindMeasurer(arch, s, kind)
 	}
 	opts := autotune.DefaultOptions()
 	opts.Budget = budget
 	opts.Patience = 0
 	opts.Seed = seed
-	return autotune.Tune(sp, measure, opts)
-}
-
-// tuneWinograd tunes the Section 5.3 fused Winograd dataflow (e = 2) with
-// the given measurer (pass nil for a fresh memoized one).
-func tuneWinograd(arch memsim.Arch, s shapes.ConvShape, measure autotune.Measurer, budget int, seed int64) (*autotune.Trace, error) {
-	sp, err := autotune.NewSpace(s, arch, autotune.Winograd, 2, true)
-	if err != nil {
-		return nil, err
-	}
-	if measure == nil {
-		measure = autotune.WinogradMeasurer(arch, s)
-	}
-	opts := autotune.DefaultOptions()
-	opts.Budget = budget
-	opts.Patience = 0
-	opts.Seed = seed
-	return autotune.Tune(sp, measure, opts)
+	return autotune.Tune(context.Background(), sp, autotune.LiftMeasurer(measure), nil, opts)
 }
 
 // bestLayerSeconds returns the simulated time of one layer under the
@@ -123,7 +112,7 @@ func bestLayerSeconds(arch memsim.Arch, s shapes.ConvShape, budget int, seed int
 	// and the coarse-grained default-config evaluations below: the engine's
 	// own measurements warm the memo the defaults then hit.
 	direct := autotune.NewMemoMeasure(arch, s, autotune.Direct)
-	dt, err := tuneDirect(arch, s, direct.Measure, budget, seed)
+	dt, err := tuneKind(arch, s, autotune.Direct, direct.Measure, budget, seed)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -136,7 +125,7 @@ func bestLayerSeconds(arch memsim.Arch, s shapes.ConvShape, budget int, seed int
 	}
 	if s.WinogradOK() && s.Hker == 3 {
 		wino := autotune.NewMemoMeasure(arch, s, autotune.Winograd)
-		if wt, werr := tuneWinograd(arch, s, wino.Measure, budget, seed); werr == nil && wt.BestM.Seconds < tuned {
+		if wt, werr := tuneKind(arch, s, autotune.Winograd, wino.Measure, budget, seed); werr == nil && wt.BestM.Seconds < tuned {
 			tuned = wt.BestM.Seconds
 		}
 		wcfg := conv.DefaultWinogradConfig(arch, s, 2)

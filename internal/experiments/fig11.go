@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/autotune"
 	"repro/internal/memsim"
 	"repro/internal/models"
@@ -36,13 +38,13 @@ func Fig11(opts Options) (*Fig11Result, *report.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	measure := autotune.DirectMeasurer(arch, layer)
+	measure := autotune.KindMeasurer(arch, layer, autotune.Direct)
 	tuneOpts := autotune.DefaultOptions()
 	tuneOpts.Budget = budget
 	tuneOpts.Patience = 0
 	tuneOpts.Seed = opts.seed()
 
-	ate, err := autotune.Tune(pruned, measure, tuneOpts)
+	ate, err := autotune.Tune(context.Background(), pruned, autotune.LiftMeasurer(measure), nil, tuneOpts)
 	if err != nil {
 		return nil, nil, err
 	}

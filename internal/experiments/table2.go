@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/autotune"
@@ -66,12 +67,7 @@ func Table2(opts Options) ([]Table2Row, *report.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		var measure autotune.Measurer
-		if j.kind == autotune.Winograd {
-			measure = autotune.WinogradMeasurer(arch, j.shape)
-		} else {
-			measure = autotune.DirectMeasurer(arch, j.shape)
-		}
+		measure := autotune.LiftMeasurer(autotune.KindMeasurer(arch, j.shape, j.kind))
 		tuneOpts := autotune.DefaultOptions()
 		tuneOpts.Budget = budget
 		tuneOpts.Patience = patience
@@ -84,11 +80,11 @@ func Table2(opts Options) ([]Table2Row, *report.Table, error) {
 		tvmOpts := tuneOpts
 		tvmOpts.NoSeeds = true
 		tvmOpts.NoPrune = true
-		tvm, err := autotune.Tune(full, measure, tvmOpts)
+		tvm, err := autotune.Tune(context.Background(), full, measure, nil, tvmOpts)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s full: %w", j.name, err)
 		}
-		ate, err := autotune.Tune(pruned, measure, tuneOpts)
+		ate, err := autotune.Tune(context.Background(), pruned, measure, nil, tuneOpts)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s pruned: %w", j.name, err)
 		}

@@ -99,24 +99,31 @@ func (s *Server) markTiers(archName string, verdicts []autotune.LayerVerdict) {
 	s.countTiers(verdicts)
 }
 
+// countTiers books served verdicts by (tier, kind): the one counter
+// behind the labeled tuned_verdicts_total family on /metrics and the
+// per-tier totals on /healthz (verdictsOf).
 func (s *Server) countTiers(verdicts []autotune.LayerVerdict) {
-	for _, v := range verdicts {
-		switch v.Tier {
-		case autotune.TierAnalytic:
-			s.tierAnalytic.Add(1)
-		case autotune.TierRefined:
-			s.tierRefined.Add(1)
-		default:
-			s.tierMeasured.Add(1)
-		}
-	}
-	// The per-(tier, kind) breakdown backs the labeled /metrics family; the
-	// tier atomics above stay as the lock-free totals /healthz reads.
 	s.verdictMu.Lock()
 	for _, v := range verdicts {
-		s.verdictByTK[v.Tier.String()+"|"+v.Kind.String()]++
+		s.verdictByTK[verdictKey(v.Tier, v.Kind)]++
 	}
 	s.verdictMu.Unlock()
+}
+
+// verdictsOf is the number of verdicts served from one tier, over every
+// kind /metrics reports.
+func (s *Server) verdictsOf(tier autotune.Tier) int64 {
+	s.verdictMu.Lock()
+	defer s.verdictMu.Unlock()
+	var n int64
+	for _, kind := range autotune.Kinds {
+		n += s.verdictByTK[verdictKey(tier, kind)]
+	}
+	return n
+}
+
+func verdictKey(tier autotune.Tier, kind autotune.Kind) string {
+	return tier.String() + "|" + kind.String()
 }
 
 func refinedKey(archName string, kind autotune.Kind, shape string) string {

@@ -3,6 +3,7 @@ package tuned
 import (
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -121,6 +122,20 @@ func TestServerDegradedDeadBackendServesAnalyticAndRecovers(t *testing.T) {
 	mustContain(t, metrics, "# TYPE tuned_breaker_state gauge")
 	mustContain(t, metrics, `tuned_breaker_transitions_total{state="open"}`)
 	mustContain(t, metrics, `tuned_verdicts_total{tier="analytic",kind="direct"}`)
+	// /healthz's total is the same counter /metrics breaks down by kind.
+	var scraped float64
+	for _, line := range strings.Split(metrics, "\n") {
+		if series, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(series, `tuned_verdicts_total{tier="analytic",`) {
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatalf("/metrics sample %q: %v", line, err)
+			}
+			scraped += v
+		}
+	}
+	if float64(h.AnalyticVerdicts) != scraped {
+		t.Errorf("healthz analytic_verdicts = %d, /metrics analytic series sum to %v", h.AnalyticVerdicts, scraped)
+	}
 
 	// While the backend stays dead, every further request is a complete
 	// analytic 200 — instantly (breaker open) or via the sweep-level

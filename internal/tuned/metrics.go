@@ -66,7 +66,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for _, kind := range autotune.Kinds {
 			m.sample("tuned_verdicts_total",
 				fmt.Sprintf("tier=%q,kind=%q", tier.String(), kind.String()),
-				float64(s.verdictByTK[tier.String()+"|"+kind.String()]))
+				float64(s.verdictByTK[verdictKey(tier, kind)]))
 		}
 	}
 	s.verdictMu.Unlock()

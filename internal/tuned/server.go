@@ -141,11 +141,8 @@ type Server struct {
 	refinedMu     sync.Mutex
 	refinedKeys   map[string]bool
 
-	tierMeasured    atomic.Int64 // verdicts served, by provenance
-	tierAnalytic    atomic.Int64
-	tierRefined     atomic.Int64
 	verdictMu       sync.Mutex       // guards verdictByTK
-	verdictByTK     map[string]int64 // verdicts by (tier, kind), for /metrics
+	verdictByTK     map[string]int64 // verdicts served by (tier, kind): /metrics and /healthz
 	refineDone      atomic.Int64     // refinement jobs that measured their network
 	refineDropped   atomic.Int64     // jobs dropped on a full queue
 	refineFailed    atomic.Int64     // jobs whose measured sweep errored
@@ -565,9 +562,10 @@ type Health struct {
 	// when no breaker is configured.
 	Breaker string `json:"breaker,omitempty"`
 	// AnalyticVerdicts / RefinedVerdicts count verdicts served from the
-	// analytic tier and measured upgrades of previously analytic answers;
-	// MeasuredVerdicts is the ordinary-tier count for comparison. All three
-	// are omitted until degradation machinery is configured.
+	// analytic tier and measured upgrades of previously analytic answers:
+	// each is the sum over kinds of /metrics' tuned_verdicts_total series
+	// for its tier. Both are omitted while zero, which they stay until
+	// degradation machinery is configured.
 	AnalyticVerdicts int64 `json:"analytic_verdicts,omitempty"`
 	RefinedVerdicts  int64 `json:"refined_verdicts,omitempty"`
 	// RefineQueueDepth / RefinedNetworks expose the background refinement
@@ -606,8 +604,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Quarantined:        s.quarantined.Load(),
 		PartialResponses:   s.partials.Load(),
 		StateSalvaged:      s.salvaged.Load(),
-		AnalyticVerdicts:   s.tierAnalytic.Load(),
-		RefinedVerdicts:    s.tierRefined.Load(),
+		AnalyticVerdicts:   s.verdictsOf(autotune.TierAnalytic),
+		RefinedVerdicts:    s.verdictsOf(autotune.TierRefined),
 		RefinedNetworks:    s.refineDone.Load(),
 		Cluster:            s.clusterHealth(),
 	}

@@ -297,26 +297,18 @@ func (o TuneOptions) lower() autotune.Options {
 
 // TuneKind runs the paper's auto-tuning engine for one algorithm kind on
 // its optimality-condition-pruned searching domain (for Winograd, the tile
-// edge e ∈ {2, 4} is part of the search).
-func TuneKind(arch Arch, s Shape, kind Kind, o TuneOptions) (*TuneTrace, error) {
+// edge e ∈ {2, 4} is part of the search), bounded by ctx. With a non-nil
+// cache the search is cached and resumable: a cached search covering the
+// budget returns as a synthesized trace without measuring anything, a
+// shorter persisted measurement history replays into the engine — no
+// measurement is ever repeated — and continues, and the grown state is
+// written back to the cache.
+func TuneKind(ctx context.Context, arch Arch, s Shape, kind Kind, cache *TuningCache, o TuneOptions) (*TuneTrace, error) {
 	sp, err := newKindSpace(arch, s, kind)
 	if err != nil {
 		return nil, err
 	}
-	return autotune.Tune(sp, autotune.KindMeasurer(arch, s, kind), o.lower())
-}
-
-// ResumeKind continues a cached search of one algorithm kind at a
-// (typically higher) budget: the persisted measurement history replays
-// into the engine — no measurement is ever repeated — and the grown state
-// is written back to the cache. A cached history already covering the
-// budget returns as a synthesized trace without measuring anything.
-func ResumeKind(arch Arch, s Shape, kind Kind, cache *TuningCache, o TuneOptions) (*TuneTrace, error) {
-	sp, err := newKindSpace(arch, s, kind)
-	if err != nil {
-		return nil, err
-	}
-	return autotune.TuneResumed(cache, sp, autotune.KindMeasurer(arch, s, kind), o.lower())
+	return autotune.Tune(ctx, sp, autotune.LiftMeasurer(autotune.KindMeasurer(arch, s, kind)), cache, o.lower())
 }
 
 func newKindSpace(arch Arch, s Shape, kind Kind) (*autotune.Space, error) {
